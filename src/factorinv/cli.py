@@ -110,7 +110,7 @@ def _sequence_from_args(monoid: BlockMonoid, text: str) -> Sequence:
         raw = json.loads(text)
     except json.JSONDecodeError:
         raise CliUsageError(f"--sequence must be a JSON list of residue lists, got {text!r}") from None
-    if not isinstance(raw, list):
+    if not isinstance(raw, list) or not all(isinstance(entry, list) for entry in raw):
         raise CliUsageError("--sequence must be a JSON list of residue lists")
     return monoid.sequence([tuple(entry) for entry in raw])
 
@@ -191,13 +191,14 @@ def _cmd_blocks_lengths(args):
     presented = monoid.presented()
     vector = monoid.vector_of(seq)
     lengths = presented.length_set(vector)
+    catenary = presented.catenary_of(vector)
     payload = {
         "command": "blocks lengths",
         "orders": list(monoid.group.orders),
         "sequence": str(seq),
         "length_set": list(lengths),
         "delta": list(delta_of_set(lengths)),
-        "catenary": presented.catenary_of(vector),
+        "catenary": catenary,
         "header": {
             "command": "blocks lengths",
             "orders": ",".join(map(str, monoid.group.orders)) or "-",
@@ -206,7 +207,7 @@ def _cmd_blocks_lengths(args):
         "body": [
             f"length_set: {_fmt_set(lengths)}",
             f"delta: {_fmt_set(delta_of_set(lengths))}",
-            f"catenary: {presented.catenary_of(vector)}",
+            f"catenary: {catenary}",
         ],
     }
     return payload, 0
@@ -457,7 +458,8 @@ def _add_common(parser):
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get(THREADS_ENV, "1")),
+        # parse_args converts a string default, so a bad value is a usage error
+        default=os.environ.get(THREADS_ENV, "1"),
         help="worker count for bounded scans; results are independent of it",
     )
 

@@ -6,6 +6,9 @@ reduced commutative case a factorization is just a multiset of atoms, so the
 engine computes sets of lengths, distance sets, permutable distances,
 elasticities, and catenary degrees by direct enumeration over exponent
 vectors of bounded 1-norm.
+
+Public methods validate their input once; internal scans work on trusted
+int count vectors with explicit stacks, so no element meets a recursion limit.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from .errors import (
 
 Vector = tuple[int, ...]
 
-#: Returned by catenary computations that cannot certify a finite bound.
-#: Unreachable for block monoids at finite size bounds; it exists for
-#: user-supplied monoids whose atom sets could be misdeclared.
+#: Stands for a catenary degree with no finite bound.  The factorization
+#: graph of an element is complete, so no computation here returns it.
 INFINITE = float("inf")
 
 #: Cap on the number of factorizations enumerated for a single element.
@@ -59,34 +61,30 @@ def delta_of_set(lengths) -> tuple[int, ...]:
     return tuple(sorted({b - a for a, b in zip(ordered, ordered[1:])}))
 
 
-def bottleneck_threshold(distances: dict[tuple[int, int], int], size: int):
-    """Least N such that the graph on ``size`` vertices with the given edge
-    weights is connected when restricted to edges of weight <= N.
-
-    Kruskal-style union-find scan over edges sorted by weight; returns
-    ``INFINITE`` when the edge set cannot connect the graph.
-    """
-    if size <= 1:
+def _bottleneck(factorizations) -> int:
+    """Catenary degree of a list of factorization count tuples: the least N
+    linking all of them by steps of permutable distance <= N, which is the
+    largest edge of a minimum spanning tree of the complete distance graph
+    (Prim on the dense graph: O(n^2) time, O(n) memory)."""
+    if len(factorizations) <= 1:
         return 0
-    parent = list(range(size))
+    dicts = [dict(c) for c in factorizations]
+    lengths = [sum(m for _, m in c) for c in factorizations]
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
+    def distance(a, b):
+        other = dicts[b]
+        shared = sum(min(m, other.get(i, 0)) for i, m in factorizations[a])
+        return max(lengths[a], lengths[b]) - shared
 
-    components = size
+    # cheapest edge from the tree grown so far to each vertex outside it
+    reach = {b: distance(0, b) for b in range(1, len(factorizations))}
     threshold = 0
-    for (a, b), w in sorted(distances.items(), key=lambda kv: kv[1]):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-            components -= 1
-            threshold = max(threshold, w)
-            if components == 1:
-                return threshold
-    return INFINITE
+    while reach:
+        nearest = min(reach, key=reach.get)
+        threshold = max(threshold, reach.pop(nearest))
+        for b, d in reach.items():
+            reach[b] = min(d, distance(nearest, b))
+    return threshold
 
 
 class PresentedMonoid:
@@ -105,6 +103,7 @@ class PresentedMonoid:
         self.membership = membership
         self.atoms = tuple(tuple(a) for a in atoms)
         self._validate_atoms()
+        self._sparse = tuple(tuple((i, x) for i, x in enumerate(a) if x) for a in self.atoms)
         self._fact_cache: dict[tuple[Vector, int], tuple] = {}
         self._lenset_cache: dict[Vector, frozenset[int]] = {}
 
@@ -184,30 +183,29 @@ class PresentedMonoid:
         return z
 
     def _factorizations_from(self, v: Vector, start: int) -> tuple:
+        """Count tuples of the factorizations of ``v`` into atoms >= ``start``."""
         if not any(v):
             return ((),)
-        key = (v, start)
-        cached = self._fact_cache.get(key)
-        if cached is not None:
-            return cached
-        results = []
-        for j in range(start, len(self.atoms)):
-            a = self.atoms[j]
-            if all(x <= y for x, y in zip(a, v)):
-                rest = tuple(y - x for x, y in zip(a, v))
-                for tail in self._factorizations_from(rest, j):
+
+        def children(key):
+            return [(j, None if rest is None else (rest, j)) for j, rest in self._quotients(*key)]
+
+        def combine(steps):
+            out = []
+            for j, tails in steps:
+                for tail in tails:
                     if tail and tail[0][0] == j:
-                        results.append(((j, tail[0][1] + 1),) + tail[1:])
+                        out.append(((j, tail[0][1] + 1),) + tail[1:])
                     else:
-                        results.append(((j, 1),) + tail)
-        out = tuple(results)
-        self._fact_cache[key] = out
-        return out
+                        out.append(((j, 1),) + tail)
+            return tuple(out)
+
+        return _evaluate((v, start), self._fact_cache, children, combine, ((),))
 
     def length_set(self, v) -> tuple[int, ...]:
         """Sorted set of factorization lengths of ``v``.
 
-        Computed by a direct recursion over atoms (memoized on the exponent
+        Computed by a memoized walk over atoms (keyed on the exponent
         vector), which agrees with the lengths of :meth:`factorizations`.
         """
         v = self.check_member(v)
@@ -216,17 +214,28 @@ class PresentedMonoid:
     def _length_set(self, v: Vector) -> frozenset[int]:
         if not any(v):
             return frozenset({0})
-        cached = self._lenset_cache.get(v)
-        if cached is not None:
-            return cached
-        out = set()
-        for a in self.atoms:
-            if all(x <= y for x, y in zip(a, v)):
-                rest = tuple(y - x for x, y in zip(a, v))
-                out.update(l + 1 for l in self._length_set(rest))
-        result = frozenset(out)
-        self._lenset_cache[v] = result
-        return result
+
+        def combine(steps):
+            return frozenset(l + 1 for _, lengths in steps for l in lengths)
+
+        return _evaluate(
+            v, self._lenset_cache, lambda u: self._quotients(u, 0), combine, frozenset({0})
+        )
+
+    def _quotients(self, v: Vector, start: int) -> list:
+        """(j, v - atom j) for every atom j >= ``start`` dividing ``v``, the
+        quotient None when it is the zero vector."""
+        out = []
+        for j, atom in enumerate(self._sparse[start:], start):
+            for i, x in atom:
+                if v[i] < x:
+                    break
+            else:
+                rest = list(v)
+                for i, x in atom:
+                    rest[i] -= x
+                out.append((j, tuple(rest) if any(rest) else None))
+        return out
 
     # -- distances and catenary degrees ----------------------------------
 
@@ -250,26 +259,11 @@ class PresentedMonoid:
         factorization is unique.
         """
         v = self.check_member(v)
-        raw = self._factorizations_from(v, 0)
-        if len(raw) <= 1:
-            return 0
-        dicts = [dict(c) for c in raw]
-        lens = [sum(m for _, m in c) for c in raw]
-        edges = {}
-        for a in range(len(raw)):
-            da = dicts[a]
-            for b in range(a + 1, len(raw)):
-                db = dicts[b]
-                shared = sum(min(m, db.get(i, 0)) for i, m in da.items())
-                edges[(a, b)] = max(lens[a] - shared, lens[b] - shared)
-        return bottleneck_threshold(edges, len(raw))
+        return _bottleneck(self._factorizations_from(v, 0))
 
     def catenary(self, size_bound: int):
         """Max of :meth:`catenary_of` over members of 1-norm <= size_bound."""
-        best = 0
-        for v in self.elements(size_bound):
-            best = max(best, self.catenary_of(v))
-        return best
+        return max((self.catenary_of(v) for v in self.elements(size_bound)), default=0)
 
     def delta(self, size_bound: int) -> tuple[int, ...]:
         """Union of successive-gap sets over members of 1-norm <= size_bound."""
@@ -303,6 +297,30 @@ class PresentedMonoid:
             if len(lengths) > 1:
                 return False, (v, tuple(sorted(lengths)))
         return True, None
+
+
+def _evaluate(root, cache, children, combine, empty):
+    """``value(root)`` for the memoized recursion ``value(key) =
+    combine([(step, value(child)) for step, child in children(key)])``, on an
+    explicit stack.  A child None is the zero vector, of value ``empty``."""
+    expanded: dict = {}
+    stack = [root]
+    while stack:
+        key = stack[-1]
+        if key in cache:
+            stack.pop()
+            continue
+        steps = expanded.get(key)
+        if steps is None:
+            steps = expanded[key] = children(key)
+            missing = [child for _, child in steps if child is not None and child not in cache]
+            if missing:
+                stack.extend(missing)
+                continue
+        cache[key] = combine([(step, empty if child is None else cache[child]) for step, child in steps])
+        del expanded[key]
+        stack.pop()
+    return cache[root]
 
 
 def _compositions(total: int, width: int) -> Iterator[Vector]:

@@ -16,14 +16,14 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian import Element, FinAbGroup
+from .abelian import FinAbGroup
 from .blocks import BlockMonoid, Sequence
 from .errors import (
     FaithfulTowerError,
     InternalConsistencyError,
     InvalidSpecificationError,
 )
-from .factorize import PresentedMonoid, Vector, bottleneck_threshold
+from .factorize import PresentedMonoid, Vector, _bottleneck
 from .towers import FAITHFUL, TowerSpec
 
 
@@ -45,15 +45,18 @@ class KrullMonoid(PresentedMonoid):
             raise InvalidSpecificationError(f"class map must be total on primes; missing {sorted(missing)}")
         self.classes = {p: group.check(tuple(class_map[p])) for p in self.primes}
         self.image_classes = tuple(sorted(set(self.classes.values())))
-        self._class_list = tuple(self.classes[p] for p in self.primes)
+        # prime index -> image-class slot, and slot -> its primes in prime order
+        self._slot = tuple(self.image_classes.index(self.classes[p]) for p in self.primes)
+        self._slot_primes = [[] for _ in self.image_classes]
+        for i, slot in enumerate(self._slot):
+            self._slot_primes[slot].append(i)
         self._blocks = BlockMonoid(group, self.image_classes)
         super().__init__(
             alphabet=self.primes,
-            membership=self._class_sum_vanishes,
+            membership=lambda v: self._blocks._vector_is_zero_sum(self._image(v)),
             atoms=self._compute_atoms(),
         )
-        self._atom_images = tuple(self.beta(a) for a in self.atoms)
-        self._atom_image_keys = tuple(img.counts for img in self._atom_images)
+        self._atom_images = tuple(self._image(a) for a in self.atoms)
 
     @classmethod
     def from_doc(cls, doc) -> "KrullMonoid":
@@ -66,25 +69,17 @@ class KrullMonoid(PresentedMonoid):
             raise InvalidSpecificationError(f"malformed Krull monoid document: {doc!r}") from exc
         return cls(group, primes, class_map)
 
-    def _class_sum_vanishes(self, v) -> bool:
-        for i, n in enumerate(self.group.orders):
-            if sum(m * cls[i] for cls, m in zip(self._class_list, v)) % n:
-                return False
-        return True
-
     def _compute_atoms(self) -> list[Vector]:
         """Atoms are exactly the prime-level realizations of the minimal
         zero-sum sequences over the image classes."""
-        by_class: dict[Element, list[int]] = defaultdict(list)
-        for i, p in enumerate(self.primes):
-            by_class[self.classes[p]].append(i)
         atoms = []
         for block_atom in self._blocks.atoms():
             choices = []
             for g, mult in block_atom.counts:
+                primes = self._slot_primes[self.image_classes.index(g)]
                 combos = [
                     Counter(combo)
-                    for combo in itertools.combinations_with_replacement(by_class[g], mult)
+                    for combo in itertools.combinations_with_replacement(primes, mult)
                 ]
                 choices.append(combos)
             for picks in itertools.product(*choices):
@@ -103,13 +98,14 @@ class KrullMonoid(PresentedMonoid):
 
     def beta(self, v) -> Sequence:
         """Replace every prime occurrence of a member by its class."""
-        v = self.check_member(v)
-        counts: dict[Element, int] = {}
-        for p, m in zip(self.primes, v):
-            if m:
-                g = self.classes[p]
-                counts[g] = counts.get(g, 0) + m
-        return Sequence.from_counts(self.group, counts)
+        return self._blocks.sequence_of(self._image(self.check_member(v)))
+
+    def _image(self, v: Vector) -> Vector:
+        """Class counts of a trusted exponent vector, over ``image_classes``."""
+        counts = [0] * len(self.image_classes)
+        for s, m in zip(self._slot, v):
+            counts[s] += m
+        return tuple(counts)
 
     def lift_factorization(self, v, blocks) -> list[Vector]:
         """Split a member into factors with prescribed class images.
@@ -127,23 +123,26 @@ class KrullMonoid(PresentedMonoid):
             product = product * block
         if product != self.beta(v):
             raise InvalidSpecificationError("blocks do not multiply to the class image of the element")
+        return self._lift(v, [self._blocks.vector_of(block) for block in blocks])
+
+    def _lift(self, v: Vector, parts) -> list[Vector]:
+        """First-fit lift of class-count vectors ``parts`` summing to the
+        image of the trusted member ``v``."""
         remaining = list(v)
         pieces: list[Vector] = []
-        for block in blocks:
-            piece = [0] * len(self.primes)
-            for g, mult in block.counts:
-                needed = mult
-                for i, p in enumerate(self.primes):
+        for part in parts:
+            piece = [0] * len(v)
+            for slot, needed in enumerate(part):
+                for i in self._slot_primes[slot]:
                     if needed == 0:
                         break
-                    if self.classes[p] == g and remaining[i] > 0:
-                        take = min(needed, remaining[i])
-                        piece[i] += take
-                        remaining[i] -= take
-                        needed -= take
+                    take = min(needed, remaining[i])
+                    piece[i] = take
+                    remaining[i] -= take
+                    needed -= take
                 if needed:
                     raise InternalConsistencyError(
-                        f"cannot realize class {g!r} with the remaining primes"
+                        f"cannot realize class {self.image_classes[slot]!r} with the remaining primes"
                     )
             pieces.append(tuple(piece))
         if any(remaining):
@@ -154,18 +153,24 @@ class KrullMonoid(PresentedMonoid):
 
     def two_splits(self, seq: Sequence) -> list[tuple[Sequence, Sequence]]:
         """All ordered splits of a zero-sum sequence into two zero-sum parts."""
-        group = self.group
-        support = seq.counts
-        orders = group.orders
+        def sequence(counts):
+            return Sequence.from_counts(self.group, dict(zip(seq.support, counts)))
+
+        splits = self._two_splits(seq.support, tuple(m for _, m in seq.counts))
+        return [(sequence(sub), sequence(rest)) for sub, rest in splits]
+
+    def _two_splits(self, classes, counts) -> list[tuple[Vector, Vector]]:
+        """(sub, counts - sub) for every zero-sum sub-count vector of
+        ``counts`` over ``classes``, in lexicographic order of ``sub``."""
+        orders = self.group.orders
         splits = []
-        for sub in itertools.product(*(range(m + 1) for _, m in support)):
+        for sub in itertools.product(*(range(m + 1) for m in counts)):
             if any(
-                sum(k * g[i] for (g, _), k in zip(support, sub)) % n
+                sum(k * g[i] for g, k in zip(classes, sub)) % n
                 for i, n in enumerate(orders)
             ):
                 continue
-            left = Sequence.from_counts(group, {g: k for (g, _), k in zip(support, sub)})
-            splits.append((left, seq.quotient(left)))
+            splits.append((sub, tuple(m - k for m, k in zip(counts, sub))))
         return splits
 
     def verify_transfer(self, size_bound: int) -> "TransferReport":
@@ -177,63 +182,49 @@ class KrullMonoid(PresentedMonoid):
         length set of v equals the length set of its image in the block
         monoid.  Also checks that every zero-sum sequence over the image
         classes of length <= size_bound has a preimage.  Stops at the first
-        violation.
+        violation.  The scan runs on trusted count vectors: images are
+        class counts over ``image_classes``, the block monoid's coordinates.
         """
         blocks = self._blocks.presented()
         elements = 0
         splits = 0
-        split_cache: dict[tuple, list] = {}
-        length_cache: dict[tuple, tuple[int, ...]] = {}
+        split_cache: dict[Vector, list] = {}
         for v in self.elements(size_bound):
             elements += 1
-            image = self.beta(v)
-            if image.length == 0 and any(v):
+            image = self._image(v)
+            if not any(image) and any(v):
                 return TransferReport(False, elements, splits, f"nonempty member {v} has empty image")
-            if image.length != sum(v):
+            if sum(image) != sum(v):
                 return TransferReport(False, elements, splits, f"image of {v} has wrong length")
-            key = image.counts
-            theirs = length_cache.get(key)
-            if theirs is None:
-                theirs = length_cache[key] = blocks.length_set(self._blocks.vector_of(image))
-            mine = self.length_set(v)
+            theirs = blocks._length_set(image)
+            mine = self._length_set(v)
             if mine != theirs:
                 return TransferReport(
                     False, elements, splits,
-                    f"length sets differ at {v}: {mine} vs {theirs}",
+                    f"length sets differ at {v}: {tuple(sorted(mine))} vs {tuple(sorted(theirs))}",
                 )
-            image_splits = split_cache.get(key)
-            if image_splits is None:
-                image_splits = split_cache[key] = self.two_splits(image)
-            for left, right in image_splits:
+            if image not in split_cache:
+                split_cache[image] = self._two_splits(self.image_classes, image)
+            for left, right in split_cache[image]:
                 splits += 1
-                b, c = self.lift_factorization(v, [left, right])
+                b, c = self._lift(v, (left, right))
                 if tuple(x + y for x, y in zip(b, c)) != v:
                     return TransferReport(False, elements, splits, f"lift of {v} does not multiply back")
-                if self.beta(b) != left or self.beta(c) != right:
+                if self._image(b) != left or self._image(c) != right:
                     return TransferReport(False, elements, splits, f"lift of {v} has wrong images")
         surjectivity = 0
-        for seq in self._blocks.zero_sum_up_to(size_bound):
+        for target in blocks.elements(size_bound):
             surjectivity += 1
-            preimage = self._any_preimage(seq)
-            if self.beta(preimage) != seq:
-                return TransferReport(
-                    False, elements, splits, f"no preimage found for {seq}", surjectivity
-                )
+            preimage = [0] * len(self.primes)
+            for slot, mult in enumerate(target):
+                preimage[self._slot_primes[slot][0]] += mult
+            if self._image(preimage) != target:
+                failure = f"no preimage found for {self._blocks.sequence_of(target)}"
+                return TransferReport(False, elements, splits, failure, surjectivity)
         return TransferReport(True, elements, splits, None, surjectivity)
 
-    def _any_preimage(self, seq: Sequence) -> Vector:
-        vec = [0] * len(self.primes)
-        for g, mult in seq.counts:
-            for i, p in enumerate(self.primes):
-                if self.classes[p] == g:
-                    vec[i] += mult
-                    break
-            else:
-                raise InternalConsistencyError(f"class {g!r} has no prime")
-        return tuple(vec)
-
     def atom_image(self, atom_index: int) -> Sequence:
-        return self._atom_images[atom_index]
+        return self._blocks.sequence_of(self._atom_images[atom_index])
 
     def fiber_catenary(self, size_bound: int) -> int:
         """Worst bottleneck threshold inside a fiber of the transfer map.
@@ -244,30 +235,17 @@ class KrullMonoid(PresentedMonoid):
         the maximum over all members of 1-norm <= size_bound is returned.
         """
         worst = 0
-        image_keys = self._atom_image_keys
+        images = self._atom_images
         for v in self.elements(size_bound):
             raw = self._factorizations_from(v, 0)
             if len(raw) <= 1:
                 continue
             fibers: dict[tuple, list] = defaultdict(list)
             for counts in raw:
-                key = []
-                for idx, mult in counts:
-                    key.extend((image_keys[idx],) * mult)
-                fibers[tuple(sorted(key))].append(counts)
+                key = sorted(images[idx] for idx, mult in counts for _ in range(mult))
+                fibers[tuple(key)].append(counts)
             for members in fibers.values():
-                if len(members) <= 1:
-                    continue
-                dicts = [dict(c) for c in members]
-                lens = [sum(m for _, m in c) for c in members]
-                edges = {}
-                for a in range(len(members)):
-                    da = dicts[a]
-                    for b in range(a + 1, len(members)):
-                        db = dicts[b]
-                        shared = sum(min(m, db.get(i, 0)) for i, m in da.items())
-                        edges[(a, b)] = max(lens[a] - shared, lens[b] - shared)
-                worst = max(worst, bottleneck_threshold(edges, len(members)))
+                worst = max(worst, _bottleneck(members))
         return worst
 
 

@@ -144,6 +144,24 @@ def catenary_minimax(factorizations) -> int:
     return max(cost[i][j] for i in range(n) for j in range(n))
 
 
+def first_fit_lift(monoid, v, blocks) -> list[tuple[int, ...]]:
+    """Pieces of ``v`` with the given block images, each class of each block
+    filled from the primes of that class in prime order, scanning all primes."""
+    remaining = list(v)
+    pieces = []
+    for block in blocks:
+        piece = [0] * len(v)
+        for g, needed in block.counts:
+            for i, p in enumerate(monoid.primes):
+                if monoid.classes[p] == g:
+                    take = min(needed, remaining[i])
+                    piece[i] += take
+                    remaining[i] -= take
+                    needed -= take
+        pieces.append(tuple(piece))
+    return pieces
+
+
 def prefix_tuple_solutions(n: int, progressions) -> list[tuple[int, ...]]:
     """All prefix-size tuples (m_i in [0, k_i + 1], sum n) whose prefixes are
     pairwise disjoint and cover Z/nZ, by scanning every candidate tuple."""

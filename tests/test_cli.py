@@ -253,6 +253,34 @@ def test_threads_flag_does_not_change_output():
     assert code == 1
 
 
+def test_threads_env_not_an_integer(monkeypatch, capsys):
+    monkeypatch.setenv("FACTORINV_THREADS", "abc")
+    code, out = capture(["group", "info", "--orders", "4"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'abc'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["[1]", "[[1], 2]", '["1"]', "[null]"])
+def test_sequence_entries_must_be_lists(text, capsys):
+    code, out = capture(["blocks", "lengths", "--orders", "2", "--sequence", text])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_blocks_lengths_deep_element_needs_no_recursion():
+    sequence = json.dumps([[1]] * 3000)
+    code, out = capture([
+        "blocks", "lengths", "--orders", "2", "--sequence", sequence, "--format", "json",
+    ])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["length_set"] == [1500]
+    assert payload["catenary"] == 0
+
+
 def test_threads_env_default(monkeypatch):
     monkeypatch.setenv("FACTORINV_THREADS", "2")
     code, out = capture(["blocks", "davenport", "--orders", "2"])

@@ -13,6 +13,7 @@ from factorinv.errors import (
 from factorinv.factorize import (
     Factorization,
     PresentedMonoid,
+    _bottleneck,
     delta_of_set,
     permutable_distance,
 )
@@ -223,6 +224,17 @@ def test_catenary_matches_minimax_chain_oracle(orders, bound):
     _, P = block_presented(orders)
     for v in P.elements(bound):
         assert P.catenary_of(v) == catenary_minimax(P.factorizations(v))
+
+
+def test_bottleneck_matches_minimax_oracle_on_random_lists():
+    rng = random.Random(5)
+    for size in [0, 1, 2] * 10 + list(range(3, 13)) * 10:
+        raw = []
+        for _ in range(size):
+            chosen = rng.sample(range(6), rng.randint(1, 4))
+            raw.append(tuple(sorted((i, rng.randint(1, 3)) for i in chosen)))
+        expected = catenary_minimax([Factorization(c) for c in raw])
+        assert _bottleneck(raw) == expected, raw
 
 
 def test_rho2_examples():

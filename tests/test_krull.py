@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from math import prod
 
 import pytest
@@ -10,8 +11,12 @@ from factorinv.errors import (
     InvalidSpecificationError,
     NotAMemberError,
 )
+from factorinv.factorize import Factorization
 from factorinv.krull import KrullMonoid, make_krull, synth_hnp
 from factorinv.towers import Tower, TowerSpec
+
+from oracles import catenary_minimax, first_fit_lift, naive_factorizations
+from test_acceptance import krull_batch
 
 
 def c2_monoid():
@@ -203,6 +208,42 @@ def test_fiber_catenary_four_primes():
     G = make_group([2])
     H = make_krull(G, ["p", "q", "r", "s"], {p: (1,) for p in "pqrs"})
     assert H.fiber_catenary(8) <= 2
+
+
+def criterion_monoids():
+    """A few monoids of the criterion-6/7 batch with non-trivial fibers."""
+    batch = krull_batch()
+    return [batch[i] for i in (1, 4, 5, 12, 14, 16, 17)]
+
+
+def test_fiber_catenary_matches_naive_oracle():
+    for H in criterion_monoids():
+        worst = 0
+        for v in H.elements(6):
+            fibers = {}
+            for indices in naive_factorizations(H.atoms, v):
+                key = tuple(sorted(H.atom_image(i).counts for i in indices))
+                counts = tuple(sorted(Counter(indices).items()))
+                fibers.setdefault(key, []).append(Factorization(counts))
+            for members in fibers.values():
+                worst = max(worst, catenary_minimax(members))
+        assert H.fiber_catenary(6) == worst, H.classes
+
+
+def test_count_vector_transfer_matches_public_api():
+    for H in criterion_monoids():
+        B = H.block_monoid()
+        for v in H.elements(6):
+            image = H._image(v)
+            assert image == B.vector_of(H.beta(v))
+            splits = H._two_splits(H.image_classes, image)
+            assert splits == sorted(splits)
+            public = H.two_splits(H.beta(v))
+            assert [(B.sequence_of(l), B.sequence_of(r)) for l, r in splits] == public
+            for (left, right), blocks in zip(splits, public):
+                lift = H._lift(v, (left, right))
+                assert lift == H.lift_factorization(v, list(blocks))
+                assert lift == first_fit_lift(H, v, blocks)
 
 
 def test_catenary_equals_block_catenary_or_two():
