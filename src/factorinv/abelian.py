@@ -86,7 +86,10 @@ class FinAbGroup:
         return (
             isinstance(a, tuple)
             and len(a) == len(self.orders)
-            and all(isinstance(r, int) and 0 <= r < n for r, n in zip(a, self.orders))
+            and all(
+                isinstance(r, int) and not isinstance(r, bool) and 0 <= r < n
+                for r, n in zip(a, self.orders)
+            )
         )
 
     def check(self, a) -> Element:

@@ -145,6 +145,11 @@ class BlockMonoid:
         if not subset:
             raise InvalidSpecificationError("the subset G0 must be nonempty")
         self.subset = subset
+        orders = group.orders
+        # closes over tuples, not self: the presented form makes no cycle
+        self._vector_is_zero_sum = lambda v: not any(
+            sum(m * g[i] for g, m in zip(subset, v)) % n for i, n in enumerate(orders)
+        )
         self._presented: PresentedMonoid | None = None
 
     # -- conversions -------------------------------------------------------
@@ -184,12 +189,6 @@ class BlockMonoid:
             )
         return self._presented
 
-    def _vector_is_zero_sum(self, v) -> bool:
-        for i, n in enumerate(self.group.orders):
-            if sum(m * g[i] for g, m in zip(self.subset, v)) % n:
-                return False
-        return True
-
     def atoms(self) -> tuple[Sequence, ...]:
         """All minimal zero-sum sequences over the subset, sorted.
 
@@ -200,14 +199,14 @@ class BlockMonoid:
         return tuple(sorted(self._atoms_raw(), key=lambda s: s.counts))
 
     def _atoms_raw(self) -> list[Sequence]:
-        group = self.group
+        group, subset = self.group, self.subset
         card = group.cardinality
         zero_idx = group.index_of(group.zero)
         idx = {g: group.index_of(g) for g in group.elements()}
         # adding a fixed element permutes the mask bits
         shift = {
             g: [idx[group.add(h, g)] for h in group.elements()]
-            for g in self.subset
+            for g in subset
         }
 
         found: list[Sequence] = []
@@ -221,8 +220,8 @@ class BlockMonoid:
                 return  # any extension would contain this zero-sum properly
             if len(stack) >= card:
                 return
-            for j in range(start, len(self.subset)):
-                g = self.subset[j]
+            for j in range(start, len(subset)):
+                g = subset[j]
                 if stack:
                     new_mask = proper_mask | (1 << idx[total]) | (1 << idx[g])
                     table = shift[g]
@@ -247,7 +246,7 @@ class BlockMonoid:
         ordered by (length, lexicographic element word)."""
         if maxlen < 0:
             raise InvalidSpecificationError("maxlen must be >= 0")
-        group = self.group
+        group, subset = self.group, self.subset
         out: list[tuple[int, tuple, Sequence]] = []
         stack: list[Element] = []
 
@@ -256,8 +255,8 @@ class BlockMonoid:
                 out.append((len(stack), tuple(stack), Sequence.from_elements(group, stack)))
             if len(stack) >= maxlen:
                 return
-            for j in range(start, len(self.subset)):
-                g = self.subset[j]
+            for j in range(start, len(subset)):
+                g = subset[j]
                 stack.append(g)
                 extend(j, group.add(total, g))
                 stack.pop()

@@ -11,7 +11,6 @@ about those rings.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -46,7 +45,11 @@ class IdealLattice:
     Validation enforces: a finite poset given by its Hasse diagram with a
     unique top and bottom, Jordan-Hoelder consistency (all maximal cover
     paths between two comparable nodes carry equal label multisets), and
-    principal top and bottom.
+    principal top and bottom.  It walks one topological order and keeps per
+    node its descendant bitset, its label counts below the top and its
+    principal covers, so later queries are lookups.  Validation takes
+    O(V + E) steps on V-bit sets; chains cost their total length to list,
+    and ``length_set`` does not list them.
     """
 
     def __init__(self, simples, nodes, covers, top, bottom):
@@ -74,7 +77,8 @@ class IdealLattice:
         for upper, lower, label in self.covers:
             self._below[upper].append((lower, label))
         self._validate()
-        self._interval_cache: dict[tuple[str, str], Counter] = {}
+        self._covers_above = self._principal_covers()
+        self._chains: tuple[Chain, ...] | None = None
 
     @classmethod
     def from_doc(cls, doc) -> "IdealLattice":
@@ -100,22 +104,21 @@ class IdealLattice:
         if self.top not in nodes or self.bottom not in nodes:
             raise ExtremaError("declared top or bottom is not a node")
 
-        # acyclicity by depth-first search over the downward edges
-        state: dict[str, int] = {}
-
-        def visit(node):
-            state[node] = 1
+        # acyclicity: Kahn's algorithm, the order grows while it is walked
+        indegree = dict.fromkeys(self.principal, 0)
+        for _, lower, _ in self.covers:
+            indegree[lower] += 1
+        order = [n for n, d in indegree.items() if d == 0]
+        for node in order:
             for child, _ in self._below[node]:
-                mark = state.get(child)
-                if mark == 1:
-                    raise CoverCycleError(f"cycle in covers through {child!r}")
-                if mark is None:
-                    visit(child)
-            state[node] = 2
-
-        for node in nodes:
-            if node not in state:
-                visit(node)
+                indegree[child] -= 1
+                if indegree[child] == 0:
+                    order.append(child)
+        if len(order) < len(nodes):
+            stuck = next(n for n, d in indegree.items() if d)
+            raise CoverCycleError(f"cycle in covers at or above {stuck!r}")
+        self._order = order
+        self._index = {n: i for i, n in enumerate(order)}
 
         uppers = {u for u, _, _ in self.covers}
         lowers = {l for _, l, _ in self.covers}
@@ -128,99 +131,83 @@ class IdealLattice:
         if minimal != {self.bottom}:
             raise ExtremaError(f"expected unique bottom {self.bottom!r}, minimal nodes are {sorted(minimal)}")
 
-        # Hasse condition: no cover edge duplicates a longer descending path
+        # Hasse condition: no cover edge duplicates a longer descending path,
+        # that is, no other child of the upper node reaches the lower one
+        self._reach = reach = {}
+        for node in reversed(order):
+            bits = 1 << self._index[node]
+            for child, _ in self._below[node]:
+                bits |= reach[child]
+            reach[node] = bits
         for upper, lower, _ in self.covers:
             for child, _ in self._below[upper]:
-                if child != lower and self._descends(child, lower):
-                    raise CoverCycleError(
-                        f"cover {upper!r} -> {lower!r} shortcuts a longer path"
-                    )
+                if child != lower and self.comparable(child, lower):
+                    raise CoverCycleError(f"cover {upper!r} -> {lower!r} shortcuts a longer path")
 
-        # Jordan-Hoelder consistency, exhaustively (lattices are small)
-        for upper in nodes:
-            self._check_paths(upper)
+        # Jordan-Hoelder consistency: every node lies below the unique top
+        # and label multisets cancel, so all paths between two nodes agree
+        # when every path from the top to each node carries the same counts
+        self._labels = tuple(dict.fromkeys(self.simples))
+        slot = {label: k for k, label in enumerate(self._labels)}
+        self._counts = counts = {self.top: (0,) * len(slot)}
+        for node in order:
+            base = counts[node]
+            for child, label in self._below[node]:
+                k = slot[label]
+                step = base[:k] + (base[k] + 1,) + base[k + 1:]
+                if counts.setdefault(child, step) != step:
+                    raise LabelMultisetError(
+                        f"paths from {self.top!r} to {child!r} carry different label multisets"
+                    )
 
         if not self.principal[self.top]:
             raise NonPrincipalBoundError(f"top {self.top!r} must be principal")
         if not self.principal[self.bottom]:
             raise NonPrincipalBoundError(f"bottom {self.bottom!r} must be principal")
 
-    def _descends(self, start: str, target: str) -> bool:
-        stack = [start]
-        seen = set()
-        while stack:
-            node = stack.pop()
-            if node == target:
-                return True
-            if node in seen:
-                continue
-            seen.add(node)
-            stack.extend(child for child, _ in self._below[node])
-        return False
-
-    def _check_paths(self, upper: str):
-        """All cover paths from ``upper`` down to each descendant must carry
-        equal label multisets."""
-        collected: dict[str, Counter] = {upper: Counter()}
-
-        def walk(node, labels):
-            for child, label in self._below[node]:
-                next_labels = labels + Counter([label])
-                known = collected.get(child)
-                if known is None:
-                    collected[child] = next_labels
-                elif known != next_labels:
-                    raise LabelMultisetError(
-                        f"paths from {upper!r} to {child!r} carry different label multisets"
-                    )
-                walk(child, next_labels)
-
-        walk(upper, Counter())
+    def _principal_covers(self) -> dict[str, list[str]]:
+        """The minimal principal strict ancestors of every node, top-down:
+        those of a node are the minimal ones among its principal parents and
+        the sets already found for its other parents."""
+        order, reach = self._order, self._reach
+        candidates = dict.fromkeys(order, 0)
+        out = {}
+        for node in order:
+            rest = mask = candidates[node]
+            keep, kept = 0, []
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                above = order[low.bit_length() - 1]
+                if reach[above] & mask == low:
+                    keep |= low
+                    kept.append(above)
+            out[node] = sorted(kept)
+            passed = 1 << self._index[node] if self.principal[node] else keep
+            for child, _ in self._below[node]:
+                candidates[child] |= passed
+        return out
 
     # -- intervals and chains -------------------------------------------------
 
     def interval_labels(self, upper: str, lower: str) -> Counter:
         """Label multiset of any cover path from upper to lower (well defined
         by validation)."""
-        key = (upper, lower)
-        cached = self._interval_cache.get(key)
-        if cached is not None:
-            return cached
-
-        def search(node, labels):
-            if node == lower:
-                return labels
-            for child, label in self._below[node]:
-                found = search(child, labels + Counter([label]))
-                if found is not None:
-                    return found
-            return None
-
-        labels = search(upper, Counter())
-        if labels is None:
+        if not self.comparable(upper, lower):
             raise IncomparableError(f"{lower!r} is not below {upper!r}")
-        self._interval_cache[key] = labels
-        return labels
+        pairs = zip(self._labels, self._counts[upper], self._counts[lower])
+        return Counter({label: b - a for label, a, b in pairs if b > a})
 
     def comparable(self, upper: str, lower: str) -> bool:
-        return self._descends(upper, lower)
+        return bool(self._reach[upper] >> self._index[lower] & 1)
 
     def composition_length(self) -> int:
-        return sum(self.interval_labels(self.top, self.bottom).values())
+        return sum(self._counts[self.bottom])
 
     def principal_covers_above(self, node: str) -> list[str]:
         """Principal nodes strictly above ``node`` with no principal node in
         between."""
-        above = [
-            p
-            for p in self.principal
-            if p != node and self.principal[p] and self._descends(p, node)
-        ]
-        out = []
-        for p in above:
-            if not any(r != p and self._descends(p, r) for r in above):
-                out.append(p)
-        return sorted(out)
+        return list(self._covers_above[node])
 
     def rigid_factorizations(self) -> tuple[Chain, ...]:
         """All maximal chains of principal nodes from bottom to top.
@@ -229,25 +216,32 @@ class IdealLattice:
         chain nodes, so each step is an atom; its label multiset is the
         interval's composition-factor multiset.
         """
-        chains: list[Chain] = []
-
-        def climb(path):
-            node = path[-1]
-            if node == self.top:
-                steps = tuple(
-                    tuple(sorted(self.interval_labels(b, a).elements()))
-                    for a, b in zip(path, path[1:])
-                )
-                chains.append(Chain(tuple(path), steps, self))
-                return
-            for upper in self.principal_covers_above(node):
-                climb(path + [upper])
-
-        climb([self.bottom])
-        return tuple(sorted(chains, key=lambda c: c.nodes))
+        if self._chains is None:
+            chains, path, steps = [], [], []
+            stack = [(self.bottom, 0, ())]
+            while stack:
+                node, depth, step = stack.pop()
+                del path[depth:], steps[depth:]
+                path.append(node)
+                steps.append(step)
+                if node == self.top:
+                    chains.append(Chain(tuple(path), tuple(steps[1:]), self))
+                for upper in self._covers_above[node]:
+                    labels = tuple(sorted(self.interval_labels(upper, node).elements()))
+                    stack.append((upper, depth + 1, labels))
+            self._chains = tuple(sorted(chains, key=lambda c: c.nodes))
+        return self._chains
 
     def length_set(self) -> tuple[int, ...]:
-        return tuple(sorted({c.length for c in self.rigid_factorizations()}))
+        """Lengths of the maximal principal chains, by dynamic programming
+        up the principal covers (bit k of a node's mask: some chain from the
+        bottom reaches it in k steps)."""
+        reached = {self.bottom: 1}
+        for node in reversed(self._order):
+            for upper in self._covers_above[node] if node in reached else ():
+                reached[upper] = reached.get(upper, 0) | reached[node] << 1
+        mask = reached[self.top]
+        return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
 
 
 def composition_distance(c1: Chain, c2: Chain) -> int:

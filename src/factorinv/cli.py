@@ -391,9 +391,9 @@ def _cmd_towers_genus_step(args):
     return payload, 0
 
 
-def _chain_rows(lattice):
+def _chain_rows(factorizations):
     rows = []
-    for i, chain in enumerate(lattice.rigid_factorizations()):
+    for i, chain in enumerate(factorizations):
         steps = " | ".join(",".join(step) for step in chain.step_labels)
         rows.append((f"chain[{i}]", f"length {chain.length}", " < ".join(chain.nodes), steps))
     return rows
@@ -402,6 +402,7 @@ def _chain_rows(lattice):
 def _analyze_payload(command: str, name: str, lattice) -> dict:
     factorizations = lattice.rigid_factorizations()
     lengths = lattice.length_set()
+    composition_length = lattice.composition_length()
     distances = [
         [i, j, chains_mod.composition_distance(factorizations[i], factorizations[j])]
         for i in range(len(factorizations))
@@ -411,7 +412,7 @@ def _analyze_payload(command: str, name: str, lattice) -> dict:
         "command": command,
         "lattice": name,
         "nodes": len(lattice.principal),
-        "composition_length": lattice.composition_length(),
+        "composition_length": composition_length,
         "chains": [
             {"nodes": list(c.nodes), "steps": [list(s) for s in c.step_labels], "length": c.length}
             for c in factorizations
@@ -422,10 +423,10 @@ def _analyze_payload(command: str, name: str, lattice) -> dict:
             "command": command,
             "lattice": name,
             "nodes": len(lattice.principal),
-            "composition_length": lattice.composition_length(),
+            "composition_length": composition_length,
         },
         "body": [f"length_set: {_fmt_set(lengths)}"]
-        + [" ".join(map(str, row)) for row in _chain_rows(lattice)]
+        + [" ".join(map(str, row)) for row in _chain_rows(factorizations)]
         + [f"distance[{i},{j}]: {d}" for i, j, d in distances],
     }
 

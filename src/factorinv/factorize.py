@@ -13,7 +13,6 @@ int count vectors with explicit stacks, so no element meets a recursion limit.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
@@ -102,8 +101,8 @@ class PresentedMonoid:
             raise InvalidSpecificationError("alphabet labels must be distinct")
         self.membership = membership
         self.atoms = tuple(tuple(a) for a in atoms)
-        self._validate_atoms()
         self._sparse = tuple(tuple((i, x) for i, x in enumerate(a) if x) for a in self.atoms)
+        self._validate_atoms()
         self._fact_cache: dict[tuple[Vector, int], tuple] = {}
         self._lenset_cache: dict[Vector, frozenset[int]] = {}
 
@@ -120,9 +119,12 @@ class PresentedMonoid:
             if a in seen:
                 raise InvalidSpecificationError(f"duplicate atom {a!r}")
             seen.add(a)
-        for a, b in itertools.combinations(self.atoms, 2):
-            if all(x <= y for x, y in zip(a, b)) or all(y <= x for x, y in zip(a, b)):
-                raise InvalidSpecificationError(f"atom {a!r} divides atom {b!r}")
+        # distinct atoms of equal 1-norm cannot divide each other
+        ranked = sorted(zip(map(sum, self.atoms), self.atoms, self._sparse))
+        for j, (norm, b, _) in enumerate(ranked):
+            for smaller, a, support in ranked[:j]:
+                if smaller < norm and all(b[i] >= x for i, x in support):
+                    raise InvalidSpecificationError(f"atom {a!r} divides atom {b!r}")
 
     # -- element handling ------------------------------------------------
 

@@ -12,6 +12,13 @@ import itertools
 from collections import Counter
 
 from factorinv.abelian import FinAbGroup
+from factorinv.errors import (
+    CoverCycleError,
+    ExtremaError,
+    IncomparableError,
+    LabelMultisetError,
+    NonPrincipalBoundError,
+)
 
 
 def submultiset_sums(group: FinAbGroup, elements) -> set:
@@ -193,3 +200,116 @@ def prefix_tuple_solutions(n: int, progressions) -> list[tuple[int, ...]]:
 
     scan(0, 0, 0, [])
     return solutions
+
+
+class ExhaustiveLattice:
+    """Ideal-lattice validator and queries by path enumeration.
+
+    Acyclicity by recursive depth-first search, the Hasse condition by one
+    reachability search per cover, Jordan-Hoelder consistency by walking
+    every cover path from every node, interval labels by path search, and
+    chains by recursive climbing; exponential in general, fine for the small
+    lattices the tests build.  Raises the error classes of
+    :class:`factorinv.chains.IdealLattice`; documents are assumed
+    well-formed (node ids, flags and labels declared).
+    """
+
+    def __init__(self, doc):
+        self.principal = {node["id"]: node["principal"] for node in doc["nodes"]}
+        self.covers = [(c["upper"], c["lower"], c["label"]) for c in doc["covers"]]
+        self.top, self.bottom = doc["top"], doc["bottom"]
+        self.below = {n: [] for n in self.principal}
+        for upper, lower, label in self.covers:
+            self.below[upper].append((lower, label))
+        self._validate()
+
+    def _validate(self):
+        nodes = set(self.principal)
+        if self.top not in nodes or self.bottom not in nodes:
+            raise ExtremaError("top or bottom")
+        state: dict = {}
+
+        def visit(node):
+            state[node] = 1
+            for child, _ in self.below[node]:
+                mark = state.get(child)
+                if mark == 1:
+                    raise CoverCycleError(child)
+                if mark is None:
+                    visit(child)
+            state[node] = 2
+
+        for node in nodes:
+            if node not in state:
+                visit(node)
+        maximal = nodes - {l for _, l, _ in self.covers}
+        minimal = nodes - {u for u, _, _ in self.covers}
+        if len(nodes) == 1:
+            maximal = minimal = nodes
+        if maximal != {self.top} or minimal != {self.bottom}:
+            raise ExtremaError("extrema")
+        for upper, lower, _ in self.covers:
+            for child, _ in self.below[upper]:
+                if child != lower and self.comparable(child, lower):
+                    raise CoverCycleError(f"shortcut {upper!r} -> {lower!r}")
+        for upper in nodes:
+            collected = {upper: Counter()}
+
+            def walk(node, labels):
+                for child, label in self.below[node]:
+                    next_labels = labels + Counter([label])
+                    if collected.setdefault(child, next_labels) != next_labels:
+                        raise LabelMultisetError(f"{upper!r} to {child!r}")
+                    walk(child, next_labels)
+
+            walk(upper, Counter())
+        if not self.principal[self.top] or not self.principal[self.bottom]:
+            raise NonPrincipalBoundError("extrema not principal")
+
+    def comparable(self, upper, lower) -> bool:
+        stack, seen = [upper], set()
+        while stack:
+            node = stack.pop()
+            if node == lower:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(child for child, _ in self.below[node])
+        return False
+
+    def interval_labels(self, upper, lower) -> Counter:
+        def search(node, labels):
+            if node == lower:
+                return labels
+            for child, label in self.below[node]:
+                found = search(child, labels + Counter([label]))
+                if found is not None:
+                    return found
+            return None
+
+        labels = search(upper, Counter())
+        if labels is None:
+            raise IncomparableError(f"{lower!r} is not below {upper!r}")
+        return labels
+
+    def principal_covers_above(self, node) -> list:
+        above = [p for p in self.principal if p != node and self.principal[p] and self.comparable(p, node)]
+        return sorted(p for p in above if not any(r != p and self.comparable(p, r) for r in above))
+
+    def chains(self) -> list[tuple[tuple, tuple]]:
+        """(nodes, step labels) of every maximal principal chain, sorted."""
+        out = []
+
+        def climb(path):
+            if path[-1] == self.top:
+                steps = tuple(
+                    tuple(sorted(self.interval_labels(b, a).elements()))
+                    for a, b in zip(path, path[1:])
+                )
+                out.append((tuple(path), steps))
+                return
+            for upper in self.principal_covers_above(path[-1]):
+                climb(path + [upper])
+
+        climb([self.bottom])
+        return sorted(out)

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -221,3 +223,17 @@ def test_atomicity_up_to_bound():
                 continue
             facs = P.factorizations(B.vector_of(seq))
             assert facs, f"no factorization for {seq}"
+
+
+def test_dropped_monoid_is_freed_without_the_cycle_collector():
+    monoid = BlockMonoid(make_group([2, 3]))
+    presented = monoid.presented()
+    presented.catenary(6)
+    monoid.zero_sum_up_to(3)
+    dead = weakref.ref(monoid)
+    gc.disable()
+    try:
+        del monoid, presented
+        assert dead() is None
+    finally:
+        gc.enable()

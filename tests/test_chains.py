@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -14,9 +15,12 @@ from factorinv.errors import (
     ExtremaError,
     IncomparableError,
     LabelMultisetError,
+    LatticeValidationError,
     NonPrincipalBoundError,
     UnknownBuiltinError,
 )
+
+from oracles import ExhaustiveLattice
 
 
 def total_order(labels=("s", "s"), principal=(True, True, True)):
@@ -241,3 +245,99 @@ def test_builtin_doc_roundtrip():
         lattice = builtin(name)
         again = IdealLattice.from_doc(lattice.to_doc())
         assert again.length_set() == lattice.length_set()
+
+
+def random_grid(rng):
+    """A product of two labeled chains, as in the benchmark's grids, with a
+    random principal pattern; then, most of the time, one perturbation:
+    a swapped label, a shortcut cover, a back edge closing a cycle, a stray
+    second top, or a non-principal extremum."""
+    rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+    simples = ["a", "b", "c"]
+    down = [rng.choice(simples) for _ in range(rows)]
+    across = [rng.choice(simples) for _ in range(cols)]
+
+    def node(i, j):
+        return f"n{i}.{j}"
+
+    nodes = [
+        {"id": node(i, j), "principal": (i, j) in ((0, 0), (rows - 1, cols - 1)) or rng.random() < 0.5}
+        for i in range(rows)
+        for j in range(cols)
+    ]
+    covers = [
+        {"upper": node(i, j), "lower": node(i + 1, j), "label": down[i]}
+        for i in range(rows - 1)
+        for j in range(cols)
+    ] + [
+        {"upper": node(i, j), "lower": node(i, j + 1), "label": across[j]}
+        for i in range(rows)
+        for j in range(cols - 1)
+    ]
+    doc = {"simples": simples, "nodes": nodes, "covers": covers,
+           "top": node(0, 0), "bottom": node(rows - 1, cols - 1)}
+    kind = rng.choice(["none", "none", "label", "shortcut", "cycle", "stray", "extremum"])
+    if kind == "label" and covers:
+        cover = rng.choice(covers)
+        cover["label"] = rng.choice([s for s in simples if s != cover["label"]])
+    elif kind == "shortcut" and rows + cols > 3:
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        k, l = rng.randint(i, rows - 1), rng.randint(j, cols - 1)
+        if (k - i) + (l - j) >= 2:
+            covers.append({"upper": node(i, j), "lower": node(k, l), "label": rng.choice(simples)})
+    elif kind == "cycle":
+        i, j = rng.randrange(rows), rng.randrange(cols)
+        k, l = rng.randint(0, i), rng.randint(0, j)
+        covers.append({"upper": node(i, j), "lower": node(k, l), "label": rng.choice(simples)})
+    elif kind == "stray":
+        nodes.append({"id": "stray", "principal": True})
+        lower = rng.choice(nodes[:-1])["id"]
+        covers.append({"upper": "stray", "lower": lower, "label": rng.choice(simples)})
+    elif kind == "extremum":
+        rng.choice([nodes[0], nodes[-1]])["principal"] = False
+    rng.shuffle(nodes)
+    rng.shuffle(covers)
+    return doc
+
+
+def validation_outcome(build, doc):
+    try:
+        return build(doc), None
+    except LatticeValidationError as exc:
+        return None, type(exc)
+
+
+def test_random_grids_match_the_exhaustive_oracle():
+    rng = random.Random(20161)
+    seen = Counter()
+    for _ in range(400):
+        doc = random_grid(rng)
+        lattice, error = validation_outcome(load_lattice, doc)
+        oracle, oracle_error = validation_outcome(ExhaustiveLattice, doc)
+        assert error is oracle_error, doc
+        seen[error] += 1
+        if lattice is None:
+            continue
+        for upper in lattice.principal:
+            assert lattice.principal_covers_above(upper) == oracle.principal_covers_above(upper)
+            for lower in lattice.principal:
+                assert lattice.comparable(upper, lower) == oracle.comparable(upper, lower)
+                if oracle.comparable(upper, lower):
+                    assert lattice.interval_labels(upper, lower) == oracle.interval_labels(upper, lower)
+                else:
+                    with pytest.raises(IncomparableError):
+                        lattice.interval_labels(upper, lower)
+        chains = lattice.rigid_factorizations()
+        assert [(c.nodes, c.step_labels) for c in chains] == oracle.chains()
+        assert lattice.length_set() == tuple(sorted({c.length for c in chains}))
+        assert lattice.composition_length() == sum(oracle.interval_labels(doc["top"], doc["bottom"]).values())
+    assert set(seen) == {None, CoverCycleError, ExtremaError, LabelMultisetError, NonPrincipalBoundError}
+    assert min(seen.values()) >= 10, seen
+
+
+def test_deep_total_order_needs_no_recursion():
+    lattice = load_lattice(total_order(labels=("s",) * 1499, principal=(True,) * 1500))
+    assert lattice.composition_length() == 1499
+    assert lattice.length_set() == (1499,)
+    (chain,) = lattice.rigid_factorizations()
+    assert chain.nodes == tuple(f"n{i}" for i in reversed(range(1500)))

@@ -286,3 +286,29 @@ def test_threads_env_default(monkeypatch):
     code, out = capture(["blocks", "davenport", "--orders", "2"])
     assert code == 0
     assert "davenport: 2" in out
+
+
+def test_sequence_residues_must_not_be_bools(capsys):
+    code, out = capture(["blocks", "lengths", "--orders", "2", "--sequence", "[[true],[true]]"])
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+def test_chains_analyze_deep_total_order(tmp_path):
+    n = 1500
+    doc = {
+        "simples": ["s"],
+        "nodes": [{"id": f"n{i}", "principal": True} for i in range(n)],
+        "covers": [{"upper": f"n{i}", "lower": f"n{i + 1}", "label": "s"} for i in range(n - 1)],
+        "top": "n0",
+        "bottom": f"n{n - 1}",
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    code, out = capture(["chains", "analyze", "--spec", str(path), "--format", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["composition_length"] == n - 1
+    assert payload["length_set"] == [n - 1]
+    assert [c["length"] for c in payload["chains"]] == [n - 1]
