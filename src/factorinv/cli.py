@@ -14,11 +14,12 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from . import chains as chains_mod
 from . import towers as towers_mod
 from .abelian import FinAbGroup
-from .blocks import BlockMonoid, Sequence, davenport, subset_from_doc
+from .blocks import BlockMonoid, davenport, subset_from_doc
 from .errors import FactorInvError
 from .factorize import delta_of_set
 from .krull import KrullMonoid, synth_hnp
@@ -49,15 +50,11 @@ def _fmt_set(values) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
 
 
-def _parse_orders(text: str) -> FinAbGroup:
-    try:
-        return FinAbGroup(tuple(int(part) for part in text.split(",") if part != ""))
-    except ValueError:
-        raise CliUsageError(f"cannot parse orders {text!r}") from None
+# -- input sources -------------------------------------------------------------
 
 
 def _load_doc(args) -> dict:
-    if getattr(args, "spec", None):
+    if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as handle:
                 return json.load(handle)
@@ -65,7 +62,7 @@ def _load_doc(args) -> dict:
             raise CliUsageError(f"cannot read {args.spec}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise CliUsageError(f"{args.spec} is not valid JSON: {exc}") from None
-    if getattr(args, "inline", None):
+    if args.inline:
         try:
             return json.loads(args.inline)
         except json.JSONDecodeError as exc:
@@ -73,14 +70,20 @@ def _load_doc(args) -> dict:
     raise CliUsageError("exactly one of --spec FILE or --inline JSON is required")
 
 
+def _doc_source(from_doc):
+    """Loader that builds a library object from the --spec/--inline document."""
+    return lambda args: from_doc(_load_doc(args))
+
+
 def _group_from_args(args) -> FinAbGroup:
-    sources = sum(1 for v in (getattr(args, "orders", None), getattr(args, "spec", None),
-                              getattr(args, "inline", None)) if v)
-    if sources != 1:
+    if sum(1 for source in (args.orders, args.spec, args.inline) if source) != 1:
         raise CliUsageError("exactly one input source is required (--orders, --spec, or --inline)")
-    if args.orders:
-        return _parse_orders(args.orders)
-    return FinAbGroup.from_doc(_load_doc(args))
+    if not args.orders:
+        return FinAbGroup.from_doc(_load_doc(args))
+    try:
+        return FinAbGroup(tuple(int(part) for part in args.orders.split(",") if part != ""))
+    except ValueError:
+        raise CliUsageError(f"cannot parse orders {args.orders!r}") from None
 
 
 def _block_monoid_from_args(args) -> BlockMonoid:
@@ -91,10 +94,9 @@ def _block_monoid_from_args(args) -> BlockMonoid:
         group = _group_from_args(args)
     else:
         doc = _load_doc(args)
-        if "group" in doc:
+        if isinstance(doc, dict) and "group" in doc:
             group = FinAbGroup.from_doc(doc["group"])
-            if "subset" in doc:
-                subset_spec = doc["subset"]
+            subset_spec = doc.get("subset", subset_spec)
         else:
             group = FinAbGroup.from_doc(doc)
     if isinstance(subset_spec, str) and subset_spec not in ("nonzero", "all"):
@@ -105,301 +107,87 @@ def _block_monoid_from_args(args) -> BlockMonoid:
     return BlockMonoid(group, subset_from_doc(group, subset_spec))
 
 
-def _sequence_from_args(monoid: BlockMonoid, text: str) -> Sequence:
+# -- computations: (input, args) -> (result fields, exit code) ------------------
+#
+# A field named "#name" is shown as the header line "# name: ..." in place of
+# the field "name", and is left out of the JSON.
+
+
+def _blocks_atoms(monoid, args):
+    atoms = monoid.atoms()
+    return {"orders": monoid.group.orders, "subset": monoid.subset, "atoms": atoms, "count": len(atoms)}, 0
+
+
+def _blocks_lengths(monoid, args):
     try:
-        raw = json.loads(text)
+        raw = json.loads(args.sequence)
     except json.JSONDecodeError:
-        raise CliUsageError(f"--sequence must be a JSON list of residue lists, got {text!r}") from None
+        raise CliUsageError(
+            f"--sequence must be a JSON list of residue lists, got {args.sequence!r}") from None
     if not isinstance(raw, list) or not all(isinstance(entry, list) for entry in raw):
         raise CliUsageError("--sequence must be a JSON list of residue lists")
-    return monoid.sequence([tuple(entry) for entry in raw])
-
-
-def _render(payload: dict, fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(json.dumps(payload, sort_keys=True) + "\n")
-        return
-    header = payload.get("header", {})
-    for key, value in header.items():
-        out.write(f"# {key}: {value}\n")
-    body = payload.get("body", [])
-    if body and all(isinstance(row, (list, tuple)) for row in body):
-        widths = [max(len(str(row[i])) for row in body) for i in range(len(body[0]))]
-        for row in body:
-            cells = [str(cell).ljust(width) for cell, width in zip(row, widths)]
-            out.write("  ".join(cells).rstrip() + "\n")
-    else:
-        for line in body:
-            out.write(f"{line}\n")
-
-
-# -- handlers ------------------------------------------------------------------
-
-
-def _cmd_group_info(args):
-    group = _group_from_args(args)
-    payload = {
-        "command": "group info",
-        "orders": list(group.orders),
-        "cardinality": group.cardinality,
-        "exponent": group.exponent,
-        "header": {"command": "group info", "orders": ",".join(map(str, group.orders)) or "-"},
-        "body": [
-            ("cardinality", group.cardinality),
-            ("exponent", group.exponent),
-            ("elements", group.cardinality),
-        ],
-    }
-    return payload, 0
-
-
-def _cmd_blocks_atoms(args):
-    monoid = _block_monoid_from_args(args)
-    atoms = monoid.atoms()
-    payload = {
-        "command": "blocks atoms",
-        "orders": list(monoid.group.orders),
-        "subset": [list(g) for g in monoid.subset],
-        "atoms": [[[list(g), m] for g, m in atom.counts] for atom in atoms],
-        "count": len(atoms),
-        "header": {
-            "command": "blocks atoms",
-            "orders": ",".join(map(str, monoid.group.orders)) or "-",
-            "subset": " ".join(_fmt_element(g) for g in monoid.subset),
-        },
-        "body": [("atom", str(atom), f"length {atom.length}") for atom in atoms],
-    }
-    return payload, 0
-
-
-def _cmd_blocks_davenport(args):
-    group = _group_from_args(args)
-    value = davenport(group)
-    payload = {
-        "command": "blocks davenport",
-        "orders": list(group.orders),
-        "davenport": value,
-        "header": {"command": "blocks davenport", "orders": ",".join(map(str, group.orders)) or "-"},
-        "body": [f"davenport: {value}"],
-    }
-    return payload, 0
-
-
-def _cmd_blocks_lengths(args):
-    monoid = _block_monoid_from_args(args)
-    seq = _sequence_from_args(monoid, args.sequence)
+    seq = monoid.sequence([tuple(entry) for entry in raw])
     presented = monoid.presented()
     vector = monoid.vector_of(seq)
     lengths = presented.length_set(vector)
-    catenary = presented.catenary_of(vector)
-    payload = {
-        "command": "blocks lengths",
-        "orders": list(monoid.group.orders),
+    return {
+        "orders": monoid.group.orders,
         "sequence": str(seq),
-        "length_set": list(lengths),
-        "delta": list(delta_of_set(lengths)),
-        "catenary": catenary,
-        "header": {
-            "command": "blocks lengths",
-            "orders": ",".join(map(str, monoid.group.orders)) or "-",
-            "sequence": str(seq),
-        },
-        "body": [
-            f"length_set: {_fmt_set(lengths)}",
-            f"delta: {_fmt_set(delta_of_set(lengths))}",
-            f"catenary: {catenary}",
-        ],
-    }
-    return payload, 0
+        "length_set": lengths,
+        "delta": delta_of_set(lengths),
+        "catenary": presented.catenary_of(vector),
+    }, 0
 
 
-def _blocks_bound(args, monoid: BlockMonoid) -> int:
-    if args.bound is not None:
-        if args.bound < 0:
-            raise CliUsageError("--bound must be >= 0")
-        return args.bound
-    return 2 * davenport(monoid.group)
+def _blocks_scan(monoid, args):
+    """The bounded scan the action names: delta, catenary or rho2."""
+    value = getattr(monoid.presented(), args.action)(args.bound)
+    return {"orders": monoid.group.orders, "bound": args.bound, args.action: value}, 0
 
 
-def _cmd_blocks_delta(args):
-    monoid = _block_monoid_from_args(args)
-    bound = _blocks_bound(args, monoid)
-    value = monoid.presented().delta(bound)
-    payload = {
-        "command": "blocks delta",
-        "orders": list(monoid.group.orders),
-        "bound": bound,
-        "delta": list(value),
-        "header": {
-            "command": "blocks delta",
-            "orders": ",".join(map(str, monoid.group.orders)) or "-",
-            "bound": bound,
-        },
-        "body": [f"delta: {_fmt_set(value)}"],
-    }
-    return payload, 0
+def _krull_verify(monoid, args):
+    report = monoid.verify_transfer(args.bound)
+    return {"bound": args.bound, **vars(report)}, 0 if report.ok else 2
 
 
-def _cmd_blocks_catenary(args):
-    monoid = _block_monoid_from_args(args)
-    bound = _blocks_bound(args, monoid)
-    value = monoid.presented().catenary(bound)
-    payload = {
-        "command": "blocks catenary",
-        "orders": list(monoid.group.orders),
-        "bound": bound,
-        "catenary": value,
-        "header": {
-            "command": "blocks catenary",
-            "orders": ",".join(map(str, monoid.group.orders)) or "-",
-            "bound": bound,
-        },
-        "body": [f"catenary: {value}"],
-    }
-    return payload, 0
-
-
-def _cmd_blocks_rho2(args):
-    monoid = _block_monoid_from_args(args)
-    bound = _blocks_bound(args, monoid)
-    value = monoid.presented().rho2(bound)
-    payload = {
-        "command": "blocks rho2",
-        "orders": list(monoid.group.orders),
-        "bound": bound,
-        "rho2": value,
-        "header": {
-            "command": "blocks rho2",
-            "orders": ",".join(map(str, monoid.group.orders)) or "-",
-            "bound": bound,
-        },
-        "body": [f"rho2: {value}"],
-    }
-    return payload, 0
-
-
-def _cmd_krull_verify(args):
-    monoid = KrullMonoid.from_doc(_load_doc(args))
-    bound = args.bound if args.bound is not None else DEFAULT_KRULL_BOUND
-    report = monoid.verify_transfer(bound)
-    payload = {
-        "command": "krull verify",
-        "bound": bound,
-        "ok": report.ok,
-        "elements_checked": report.elements_checked,
-        "splits_checked": report.splits_checked,
-        "surjectivity_checked": report.surjectivity_checked,
-        "failure": report.failure,
-        "header": {"command": "krull verify", "bound": bound},
-        "body": [
-            f"ok: {report.ok}",
-            f"elements_checked: {report.elements_checked}",
-            f"splits_checked: {report.splits_checked}",
-            f"surjectivity_checked: {report.surjectivity_checked}",
-        ]
-        + ([f"failure: {report.failure}"] if report.failure else []),
-    }
-    return payload, 0 if report.ok else 2
-
-
-def _cmd_krull_fiber(args):
-    monoid = KrullMonoid.from_doc(_load_doc(args))
-    bound = args.bound if args.bound is not None else DEFAULT_KRULL_BOUND
-    value = monoid.fiber_catenary(bound)
-    payload = {
-        "command": "krull fiber-catenary",
-        "bound": bound,
-        "fiber_catenary": value,
-        "header": {"command": "krull fiber-catenary", "bound": bound},
-        "body": [f"fiber_catenary: {value}"],
-    }
-    return payload, 0
-
-
-def _cmd_krull_synth(args):
-    spec = TowerSpec.from_doc(_load_doc(args))
+def _krull_synth(spec, args):
     monoid = synth_hnp(spec)
-    payload = {
-        "command": "krull synth",
-        "primes": list(monoid.primes),
-        "classes": {p: list(monoid.classes[p]) for p in monoid.primes},
-        "image_classes": [list(g) for g in monoid.image_classes],
+    return {
+        "primes": monoid.primes,
+        "classes": monoid.classes,
+        "image_classes": monoid.image_classes,
         "atom_count": len(monoid.atoms),
-        "header": {
-            "command": "krull synth",
-            "orders": ",".join(map(str, spec.group.orders)) or "-",
-        },
-        "body": [
-            ("prime", p, _fmt_element(monoid.classes[p])) for p in monoid.primes
-        ],
-    }
-    return payload, 0
+        "#orders": spec.group.orders,
+    }, 0
 
 
-def _cmd_towers_comb(args):
+def _towers_comb(_, args):
     try:
-        progressions = []
-        for part in args.arcs.split(","):
-            a, k = part.split(":")
-            progressions.append((int(a), int(k)))
+        progressions = [(int(a), int(k)) for a, k in (part.split(":") for part in args.arcs.split(","))]
     except ValueError:
         raise CliUsageError(f"cannot parse --arcs {args.arcs!r}; expected 'a:k,a:k,...'") from None
     sizes = towers_mod.disjoint_prefix_cover(args.n, progressions)
-    payload = {
-        "command": "towers comb",
-        "n": args.n,
-        "arcs": [[a, k] for a, k in progressions],
-        "prefix_sizes": sizes,
-        "header": {"command": "towers comb", "n": args.n, "arcs": args.arcs},
-        "body": [f"prefix_sizes: [{', '.join(map(str, sizes))}]"],
-    }
-    return payload, 0
+    return {"n": args.n, "arcs": progressions, "prefix_sizes": sizes, "#arcs": args.arcs}, 0
 
 
-def _cmd_towers_submodule(args):
-    module = ArcModule.from_doc(_load_doc(args))
-    sub = towers_mod.full_cycle_submodule(module)
-    payload = {
-        "command": "towers submodule",
-        "module": module.to_doc(),
-        "submodule": sub.to_doc(),
-        "header": {"command": "towers submodule", "cycle_length": module.cycle_length},
-        "body": [("arc", arc.bottom, f"length {arc.length}") for arc in sub.arcs]
-        or ["zero module"],
-    }
-    return payload, 0
-
-
-def _cmd_towers_genus_step(args):
-    spec = TowerSpec.from_doc(_load_doc(args))
+def _towers_genus_step(spec, args):
     try:
         raw = json.loads(args.genus)
         genus = GenusVector(raw["udim"], tuple(raw.get("ranks", {}).items()))
-    except (json.JSONDecodeError, KeyError, TypeError):
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError):
         raise CliUsageError(
             f"--genus must look like '{{\"udim\": 1, \"ranks\": {{\"T.0\": 1}}}}', got {args.genus!r}"
         ) from None
     stepped = towers_mod.genus_step(genus, args.simple, spec)
-    payload = {
-        "command": "towers genus-step",
-        "simple": args.simple,
-        "udim": stepped.udim,
-        "ranks": dict(stepped.ranks),
-        "header": {"command": "towers genus-step", "simple": args.simple},
-        "body": [("udim", stepped.udim)] + [(label, r) for label, r in stepped.ranks],
-    }
-    return payload, 0
+    return {"simple": args.simple, "udim": stepped.udim, "ranks": dict(stepped.ranks)}, 0
 
 
-def _chain_rows(factorizations):
-    rows = []
-    for i, chain in enumerate(factorizations):
-        steps = " | ".join(",".join(step) for step in chain.step_labels)
-        rows.append((f"chain[{i}]", f"length {chain.length}", " < ".join(chain.nodes), steps))
-    return rows
-
-
-def _analyze_payload(command: str, name: str, lattice) -> dict:
+def _chains(lattice, args):
+    """Chains, length set and composition distances of a built-in lattice
+    (named by args.name) or of a document; only the length set with --lengths."""
+    name = getattr(args, "name", "(document)")
+    if getattr(args, "lengths", False):
+        return {"lattice": name, "length_set": lattice.length_set()}, 0
     factorizations = lattice.rigid_factorizations()
     lengths = lattice.length_set()
     composition_length = lattice.composition_length()
@@ -409,146 +197,167 @@ def _analyze_payload(command: str, name: str, lattice) -> dict:
         for j in range(i + 1, len(factorizations))
     ]
     return {
-        "command": command,
         "lattice": name,
         "nodes": len(lattice.principal),
         "composition_length": composition_length,
-        "chains": [
-            {"nodes": list(c.nodes), "steps": [list(s) for s in c.step_labels], "length": c.length}
-            for c in factorizations
-        ],
-        "length_set": list(lengths),
+        "chains": [{"nodes": c.nodes, "steps": c.step_labels, "length": c.length} for c in factorizations],
+        "length_set": lengths,
         "composition_distances": distances,
-        "header": {
-            "command": command,
-            "lattice": name,
-            "nodes": len(lattice.principal),
-            "composition_length": composition_length,
-        },
-        "body": [f"length_set: {_fmt_set(lengths)}"]
-        + [" ".join(map(str, row)) for row in _chain_rows(factorizations)]
-        + [f"distance[{i},{j}]: {d}" for i, j, d in distances],
-    }
+    }, 0
 
 
-def _cmd_chains_analyze(args):
-    lattice = chains_mod.load_lattice(_load_doc(args))
-    return _analyze_payload("chains analyze", "(document)", lattice), 0
+# -- text bodies: fields -> lines, or rows of cells that are aligned -----------
+
+# how a field is shown in text when str() is not enough
+_SHOW = {
+    "orders": lambda orders: ",".join(map(str, orders)) or "-",
+    "subset": lambda subset: " ".join(_fmt_element(g) for g in subset),
+    "length_set": _fmt_set,
+    "delta": _fmt_set,
+}
 
 
-def _cmd_chains_builtin(args):
-    lattice = chains_mod.builtin(args.name)
-    if args.lengths:
-        lengths = lattice.length_set()
-        payload = {
-            "command": "chains builtin",
-            "lattice": args.name,
-            "length_set": list(lengths),
-            "header": {"command": "chains builtin", "lattice": args.name},
-            "body": [f"length_set: {_fmt_set(lengths)}"],
-        }
-        return payload, 0
-    return _analyze_payload("chains builtin", args.name, lattice), 0
+def _chain_lines(fields):
+    lines = [f"length_set: {_fmt_set(fields['length_set'])}"]
+    for i, chain in enumerate(fields.get("chains", ())):
+        steps = " | ".join(",".join(step) for step in chain["steps"])
+        lines.append(f"chain[{i}] length {chain['length']} {' < '.join(chain['nodes'])} {steps}")
+    return lines + [f"distance[{i},{j}]: {d}" for i, j, d in fields.get("composition_distances", ())]
 
 
-# -- parser --------------------------------------------------------------------
+# -- the command table -----------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        # parse_args converts a string default, so a bad value is a usage error
-        default=os.environ.get(THREADS_ENV, "1"),
-        help="worker count for bounded scans; results are independent of it",
-    )
+class Command(NamedTuple):
+    """One subcommand: the flags it takes, what it computes, how it reports."""
+
+    topic: str
+    action: str
+    flags: tuple[str, ...]  # keys of FLAGS, in the order argparse lists them
+    load: Callable | None  # args -> the input the source flags describe
+    compute: Callable  # (input, args) -> (fields, exit code)
+    header: tuple[str, ...]  # fields shown as "# name: value" after the command
+    body: tuple[str, ...] | Callable  # fields shown as "name: value" lines, or fields -> rows of cells
+    bound: tuple[str, Callable] | None = None  # --bound: (default's help, input -> default)
 
 
-def _add_group_source(parser):
-    parser.add_argument("--orders", help="comma-separated cyclic factor orders, e.g. 3,3")
-    parser.add_argument("--spec", help="path to a JSON document")
-    parser.add_argument("--inline", help="inline JSON document")
+_SPEC = (("--spec",), {"help": "path to a JSON document"})
+_INLINE = (("--inline",), {"help": "inline JSON document"})
+
+FLAGS = {
+    "group": [(("--orders",), {"help": "comma-separated cyclic factor orders, e.g. 3,3"}), _SPEC, _INLINE],
+    "doc": [_SPEC, _INLINE],
+    "subset": [(("--subset",), {"default": "nonzero", "help": "'nonzero', 'all', or JSON residue lists"})],
+    "sequence": [(("--sequence",), {"required": True, "help": "JSON list of residue lists"})],
+    "n": [(("--n",), {"type": int, "required": True})],
+    "arcs": [(("--arcs",), {"required": True, "help": "progressions as 'a:k,a:k,...'"})],
+    "genus": [(("--genus",), {"required": True, "help": 'JSON like {"udim": 1, "ranks": {"T.0": 1}}'})],
+    "simple": [(("--simple",), {"required": True, "help": "simple label, e.g. T.0"})],
+    "name": [(("name",), {})],
+    "lengths": [(("--lengths",), {"action": "store_true", "help": "report only the length set"})],
+}
+
+_THREADS_HELP = (f"deprecated: checked to be >= 1 (default ${THREADS_ENV}, else 1), then ignored; "
+                 "scans run sequentially")
+_TWICE_DAVENPORT = ("default: twice the Davenport constant", lambda monoid: 2 * davenport(monoid.group))
+_KRULL_BOUND = (f"default {DEFAULT_KRULL_BOUND}", lambda monoid: DEFAULT_KRULL_BOUND)
+_MONOID = ("group", "subset")
+_LATTICE = ("lattice", "nodes", "composition_length")
+
+COMMANDS = (
+    Command("group", "info", ("group",), _group_from_args,
+            lambda g, _: ({"orders": g.orders, "cardinality": g.cardinality, "exponent": g.exponent}, 0),
+            ("orders",),
+            lambda f: [("cardinality", f["cardinality"]), ("exponent", f["exponent"]),
+                       ("elements", f["cardinality"])]),
+    Command("blocks", "atoms", _MONOID, _block_monoid_from_args, _blocks_atoms, ("orders", "subset"),
+            lambda f: [("atom", str(atom), f"length {atom.length}") for atom in f["atoms"]]),
+    Command("blocks", "davenport", ("group",), _group_from_args,
+            lambda g, _: ({"orders": g.orders, "davenport": davenport(g)}, 0), ("orders",), ("davenport",)),
+    Command("blocks", "lengths", _MONOID + ("sequence",), _block_monoid_from_args, _blocks_lengths,
+            ("orders", "sequence"), ("length_set", "delta", "catenary")),
+    Command("blocks", "delta", _MONOID, _block_monoid_from_args, _blocks_scan, ("orders", "bound"),
+            ("delta",), _TWICE_DAVENPORT),
+    Command("blocks", "catenary", _MONOID, _block_monoid_from_args, _blocks_scan, ("orders", "bound"),
+            ("catenary",), _TWICE_DAVENPORT),
+    Command("blocks", "rho2", _MONOID, _block_monoid_from_args, _blocks_scan, ("orders", "bound"),
+            ("rho2",), _TWICE_DAVENPORT),
+    Command("krull", "verify", ("doc",), _doc_source(KrullMonoid.from_doc), _krull_verify, ("bound",),
+            ("ok", "elements_checked", "splits_checked", "surjectivity_checked", "failure"),
+            _KRULL_BOUND),
+    Command("krull", "fiber-catenary", ("doc",), _doc_source(KrullMonoid.from_doc),
+            lambda m, args: ({"bound": args.bound, "fiber_catenary": m.fiber_catenary(args.bound)}, 0),
+            ("bound",), ("fiber_catenary",), _KRULL_BOUND),
+    Command("krull", "synth", ("doc",), _doc_source(TowerSpec.from_doc), _krull_synth, ("orders",),
+            lambda f: [("prime", p, _fmt_element(f["classes"][p])) for p in f["primes"]]),
+    Command("towers", "comb", ("n", "arcs"), None, _towers_comb, ("n", "arcs"), ("prefix_sizes",)),
+    Command("towers", "submodule", ("doc",), _doc_source(ArcModule.from_doc),
+            lambda m, _: ({"module": m.to_doc(), "submodule": towers_mod.full_cycle_submodule(m).to_doc(),
+                           "#cycle_length": m.cycle_length}, 0),
+            ("cycle_length",),
+            lambda f: [("arc", arc["bottom"], f"length {arc['length']}") for arc in f["submodule"]["arcs"]]
+            or ["zero module"]),
+    Command("towers", "genus-step", ("doc", "genus", "simple"), _doc_source(TowerSpec.from_doc),
+            _towers_genus_step, ("simple",), lambda f: [("udim", f["udim"]), *f["ranks"].items()]),
+    Command("chains", "analyze", ("doc",), _doc_source(chains_mod.load_lattice), _chains, _LATTICE,
+            _chain_lines),
+    Command("chains", "builtin", ("name", "lengths"), lambda args: chains_mod.builtin(args.name), _chains,
+            _LATTICE, _chain_lines),
+)
 
 
-def _add_doc_source(parser):
-    parser.add_argument("--spec", help="path to a JSON document")
-    parser.add_argument("--inline", help="inline JSON document")
+def _execute(command: Command, args):
+    source = command.load(args) if command.load else None
+    if command.bound:
+        if args.bound is None:
+            args.bound = command.bound[1](source)
+        elif args.bound < 0:
+            raise CliUsageError("--bound must be >= 0")
+    return command.compute(source, args)
+
+
+def _render(command: Command, fields: dict, fmt: str, out) -> None:
+    name = f"{command.topic} {command.action}"
+    if fmt == "json":
+        payload = {k: v for k, v in fields.items() if not k.startswith("#")}
+        # sequences (the atoms) are written as their (element, multiplicity) counts
+        out.write(json.dumps({"command": name, **payload}, sort_keys=True,
+                             default=lambda seq: seq.counts) + "\n")
+        return
+    lines = [f"# command: {name}"]
+    for key in command.header:
+        value = fields.get("#" + key, fields.get(key))
+        if value is not None:
+            lines.append(f"# {key}: {_SHOW.get(key, str)(value)}")
+    if callable(command.body):
+        body = command.body(fields)
+    else:  # a field that is None or absent is skipped
+        body = [f"{n}: {_SHOW.get(n, str)(fields[n])}" for n in command.body if fields.get(n) is not None]
+    if body and all(isinstance(row, tuple) for row in body):
+        widths = [max(len(str(row[i])) for row in body) for i in range(len(body[0]))]
+        body = ["  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip() for row in body]
+    out.write("".join(f"{line}\n" for line in lines + body))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="factorinv", description=__doc__)
-    top = parser.add_subparsers(dest="topic", required=True)
-
-    group = top.add_parser("group").add_subparsers(dest="action", required=True)
-    p = group.add_parser("info")
-    _add_group_source(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_group_info)
-
-    blocks = top.add_parser("blocks").add_subparsers(dest="action", required=True)
-    for action, handler, needs in (
-        ("atoms", _cmd_blocks_atoms, "subset"),
-        ("davenport", _cmd_blocks_davenport, None),
-        ("lengths", _cmd_blocks_lengths, "sequence"),
-        ("delta", _cmd_blocks_delta, "bound"),
-        ("catenary", _cmd_blocks_catenary, "bound"),
-        ("rho2", _cmd_blocks_rho2, "bound"),
-    ):
-        p = blocks.add_parser(action)
-        _add_group_source(p)
-        if needs in ("subset", "sequence", "bound"):
-            p.add_argument("--subset", default="nonzero", help="'nonzero', 'all', or JSON residue lists")
-        if needs == "sequence":
-            p.add_argument("--sequence", required=True, help="JSON list of residue lists")
-        if needs == "bound":
+    topics = parser.add_subparsers(dest="topic", required=True)
+    actions = {}
+    for command in COMMANDS:
+        if command.topic not in actions:
+            topic = topics.add_parser(command.topic)
+            actions[command.topic] = topic.add_subparsers(dest="action", required=True)
+        p = actions[command.topic].add_parser(command.action)
+        for flag in command.flags:
+            for names, options in FLAGS[flag]:
+                p.add_argument(*names, **options)
+        if command.bound:
             p.add_argument("--bound", type=int, default=None,
-                           help="1-norm bound for the scan (default: twice the Davenport constant)")
-        _add_common(p)
-        p.set_defaults(handler=handler)
-
-    krull = top.add_parser("krull").add_subparsers(dest="action", required=True)
-    for action, handler, bounded in (
-        ("verify", _cmd_krull_verify, True),
-        ("fiber-catenary", _cmd_krull_fiber, True),
-        ("synth", _cmd_krull_synth, False),
-    ):
-        p = krull.add_parser(action)
-        _add_doc_source(p)
-        if bounded:
-            p.add_argument("--bound", type=int, default=None,
-                           help=f"1-norm bound for the scan (default {DEFAULT_KRULL_BOUND})")
-        _add_common(p)
-        p.set_defaults(handler=handler)
-
-    towers = top.add_parser("towers").add_subparsers(dest="action", required=True)
-    p = towers.add_parser("comb")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--arcs", required=True, help="progressions as 'a:k,a:k,...'")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_towers_comb)
-    p = towers.add_parser("submodule")
-    _add_doc_source(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_towers_submodule)
-    p = towers.add_parser("genus-step")
-    _add_doc_source(p)
-    p.add_argument("--genus", required=True, help='JSON like {"udim": 1, "ranks": {"T.0": 1}}')
-    p.add_argument("--simple", required=True, help="simple label, e.g. T.0")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_towers_genus_step)
-
-    chains = top.add_parser("chains").add_subparsers(dest="action", required=True)
-    p = chains.add_parser("analyze")
-    _add_doc_source(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_chains_analyze)
-    p = chains.add_parser("builtin")
-    p.add_argument("name")
-    p.add_argument("--lengths", action="store_true", help="report only the length set")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_chains_builtin)
-
+                           help=f"1-norm bound for the scan ({command.bound[0]})")
+        p.add_argument("--format", choices=("text", "json"), default="text")
+        # parse_args converts a string default, so a bad value is a usage error
+        p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV, "1"), help=_THREADS_HELP)
+        p.set_defaults(command=command)
     return parser
 
 
@@ -559,17 +368,11 @@ def run(argv=None, out=None) -> int:
         args = parser.parse_args(argv)
         if args.threads < 1:
             raise CliUsageError("--threads must be >= 1")
-        payload, code = args.handler(args)
-    except CliUsageError as exc:
+        fields, code = _execute(args.command, args)
+    except (CliUsageError, FactorInvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FactorInvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    fmt = args.format
-    if fmt == "json":
-        payload = {k: v for k, v in payload.items() if k not in ("header", "body")}
-    _render(payload, fmt, out)
+    _render(args.command, fields, args.format, out)
     return code
 
 

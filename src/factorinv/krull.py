@@ -51,9 +51,22 @@ class KrullMonoid(PresentedMonoid):
         for i, slot in enumerate(self._slot):
             self._slot_primes[slot].append(i)
         self._blocks = BlockMonoid(group, self.image_classes)
+        # the image map and the membership test close over the slot map and
+        # the block test, not self: a dropped monoid makes no reference cycle
+        slots, width = self._slot, len(self.image_classes)
+        is_zero_sum = self._blocks._vector_is_zero_sum
+
+        def image(v: Vector) -> Vector:
+            """Class counts of a trusted exponent vector, over ``image_classes``."""
+            counts = [0] * width
+            for s, m in zip(slots, v):
+                counts[s] += m
+            return tuple(counts)
+
+        self._image = image
         super().__init__(
             alphabet=self.primes,
-            membership=lambda v: self._blocks._vector_is_zero_sum(self._image(v)),
+            membership=lambda v: is_zero_sum(image(v)),
             atoms=self._compute_atoms(),
         )
         self._atom_images = tuple(self._image(a) for a in self.atoms)
@@ -99,13 +112,6 @@ class KrullMonoid(PresentedMonoid):
     def beta(self, v) -> Sequence:
         """Replace every prime occurrence of a member by its class."""
         return self._blocks.sequence_of(self._image(self.check_member(v)))
-
-    def _image(self, v: Vector) -> Vector:
-        """Class counts of a trusted exponent vector, over ``image_classes``."""
-        counts = [0] * len(self.image_classes)
-        for s, m in zip(self._slot, v):
-            counts[s] += m
-        return tuple(counts)
 
     def lift_factorization(self, v, blocks) -> list[Vector]:
         """Split a member into factors with prescribed class images.

@@ -14,6 +14,7 @@ from factorinv.blocks import (
     subset_nonzero,
 )
 from factorinv.errors import InvalidElementError, InvalidSpecificationError
+from factorinv.krull import make_krull
 
 from conftest import abelian_groups_up_to
 from oracles import (
@@ -234,6 +235,18 @@ def test_dropped_monoid_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         del monoid, presented
+        assert dead() is None
+    finally:
+        gc.enable()
+
+
+def test_dropped_krull_monoid_is_freed_without_the_cycle_collector():
+    monoid = make_krull(make_group([3]), ["p", "q", "r"], {"p": (1,), "q": (1,), "r": (2,)})
+    assert monoid.verify_transfer(4).ok
+    dead = weakref.ref(monoid)
+    gc.disable()
+    try:
+        del monoid
         assert dead() is None
     finally:
         gc.enable()

@@ -312,3 +312,46 @@ def test_chains_analyze_deep_total_order(tmp_path):
     assert payload["composition_length"] == n - 1
     assert payload["length_set"] == [n - 1]
     assert [c["length"] for c in payload["chains"]] == [n - 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["towers", "genus-step", "--inline", json.dumps({
+            "group": {"orders": [2]},
+            "towers": [{"name": "T", "type": "cycle", "length": 2, "class": [1]}],
+        }), "--genus", '{"udim":1,"ranks":[1]}', "--simple", "T.0"],
+        ["blocks", "atoms", "--inline", "null"],
+        ["blocks", "atoms", "--inline", '"group"'],
+    ],
+)
+def test_malformed_input_is_one_error_line_not_a_traceback(argv, capsys):
+    code, out = capture(argv)
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+KRULL_PQ = '{"group": {"orders": [2]}, "primes": [{"name": "p", "class": [1]}, {"name": "q", "class": [1]}]}'
+BOUNDED = [
+    ["blocks", "delta", "--orders", "3"],
+    ["blocks", "catenary", "--orders", "3"],
+    ["blocks", "rho2", "--orders", "3"],
+    ["krull", "verify", "--inline", KRULL_PQ],
+    ["krull", "fiber-catenary", "--inline", KRULL_PQ],
+]
+
+
+@pytest.mark.parametrize("argv", BOUNDED)
+def test_every_bounded_command_reports_its_bound(argv):
+    code, out = capture(argv + ["--bound", "4"])
+    assert code == 0
+    assert "# bound: 4" in out
+
+
+@pytest.mark.parametrize("argv", BOUNDED)
+@pytest.mark.parametrize("bound", ["-1", "-3"])
+def test_every_bounded_command_rejects_a_negative_bound(argv, bound, capsys):
+    code, out = capture(argv + ["--bound", bound])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: --bound must be >= 0\n"

@@ -1,0 +1,122 @@
+"""Property test of the CLI's error surface: whatever argv is drawn from the
+command table, ``run()`` returns 0, 1 or 2 without raising, and exit code 1
+comes with exactly one ``error:`` line on stderr."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from factorinv.cli import COMMANDS, FLAGS, run
+
+# keys of every document kind, so drawn objects can come close to valid ones
+KEYS = [
+    "orders", "group", "subset", "primes", "name", "class", "towers", "type", "length",
+    "cycle_length", "arcs", "bottom", "simples", "nodes", "id", "principal", "covers",
+    "upper", "lower", "label", "top", "udim", "ranks", "T.0", "T.1",
+]
+LATTICE = {
+    "simples": ["s"],
+    "nodes": [{"id": n, "principal": True} for n in "abc"],
+    "covers": [{"upper": "a", "lower": "b", "label": "s"}, {"upper": "b", "lower": "c", "label": "s"}],
+    "top": "a",
+    "bottom": "c",
+}
+TOWERS = [
+    {"group": {"orders": [2]}, "towers": [{"name": "T", "type": "cycle", "length": 2, "class": [1]}]},
+    {"group": {"orders": [2]}, "towers": [{"name": "F", "type": "faithful", "length": 1, "class": [0]},
+                                          {"name": "T", "type": "cycle", "length": 3, "class": [1]}]},
+]
+KRULL = {"group": {"orders": [2]}, "primes": [{"name": "p", "class": [1]}, {"name": "q", "class": [1]}]}
+# valid documents by action; every other action reads a group or a block monoid
+DOCUMENTS = {
+    "verify": [KRULL],
+    "fiber-catenary": [KRULL],
+    "synth": TOWERS,
+    "genus-step": TOWERS,
+    "submodule": [{"cycle_length": 2, "arcs": [{"bottom": 0, "length": 3}]}],
+    "analyze": [LATTICE],
+}
+GROUPS = [{"orders": [2, 2]}, {"group": {"orders": [4]}, "subset": [[1], [3]]}]
+
+# small integers and short lists keep every drawn group, bound and scan cheap
+scalars = st.none() | st.booleans() | st.integers(-2, 3) | st.sampled_from(KEYS + ["", "nonzero", "all", "x"])
+values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.sampled_from(KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+not_objects = st.sampled_from(["null", "true", "7", '"group"', "[[1]]"])
+
+
+def dumped(strategy):
+    return strategy.map(json.dumps)
+
+
+def text(*choices):
+    return st.sampled_from(choices) | st.text("0123:,-x[] ", max_size=6)
+
+
+def document(valid):
+    """Half valid documents, then random JSON, JSON that is not an object, and broken JSON."""
+    return st.integers(0, 7).flatmap(
+        lambda kind: dumped(st.sampled_from(valid)) if kind < 4
+        else dumped(values) if kind < 6
+        else not_objects if kind < 7
+        else st.just("{not json")
+    )
+
+
+genus = dumped(st.fixed_dictionaries({"udim": st.integers(0, 2) | values, "ranks": values}))
+OPTION_VALUES = {
+    "--orders": text("1", "2", "3", "4", "2,2", "2,", "0", "-2"),
+    "--spec": st.sampled_from(["no/such/file.json", "."]),
+    "--subset": dumped(values) | text("nonzero", "all", "[[1]]"),
+    "--sequence": dumped(values) | st.sampled_from(["[[1],[1]]", "[[1],[2]]", "[[1,1],[1,1]]"]),
+    "--bound": st.integers(-2, 4).map(str) | st.just("x"),
+    "--n": st.integers(-1, 6).map(str),
+    "--arcs": text("0:1,2:1", "0:3", "1:0,0:1"),
+    "--genus": genus | dumped(values) | st.sampled_from(['{"udim": 1, "ranks": {"T.0": 1}}', "{"]),
+    "--simple": st.sampled_from(["T.0", "T.1", "T.2", "F.0", "S.0", "x", ""]),
+    "name": st.sampled_from(["m2r_nonhf", "weyl_x2y", "m2a_embed", "m2a_uniserial", "nosuch"]),
+    "--format": st.sampled_from(["text", "json", "xml"]),
+    "--threads": st.sampled_from(["1", "2", "0", "-1", "abc"]),
+}
+# out of 8: how often a flag is given; the rest are given half the time
+CHANCE = {"--inline": 6, "--spec": 1}
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    flags = [(names[0], kw) for flag in command.flags for names, kw in FLAGS[flag]]
+    flags += [("--bound", {})] * bool(command.bound) + [("--format", {}), ("--threads", {})]
+    argv = [command.topic, command.action]
+    for option, kw in flags:
+        required = kw.get("required") or option == "name"
+        if draw(st.integers(0, 7)) >= (7 if required else CHANCE.get(option, 4)):
+            continue
+        if option == "--lengths":
+            argv.append(option)
+        elif option == "name":
+            argv.insert(2, draw(OPTION_VALUES[option]))
+        elif option == "--inline":
+            argv += [option, draw(document(DOCUMENTS.get(command.action, GROUPS)))]
+        else:
+            argv += [option, draw(OPTION_VALUES[option])]
+    return argv
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_run_never_raises_and_errors_are_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run(argv, out=out)
+    assert code in (0, 1, 2)
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()

@@ -72,11 +72,13 @@ CASES = {
     "group_info_inline_2_4": (["group", "info", "--inline", '{"orders": [2, 4]}'], {}, False),
     "blocks_davenport_3_3": (["blocks", "davenport", "--orders", "3,3"], {}, False),
     "blocks_atoms_3": (["blocks", "atoms", "--orders", "3"], {}, False),
-    "blocks_atoms_2_2_subset": (["blocks", "atoms", "--orders", "2,2", "--subset", "[[1,0],[0,1],[1,1]]"], {}, False),
+    "blocks_atoms_2_2_subset": (
+        ["blocks", "atoms", "--orders", "2,2", "--subset", "[[1,0],[0,1],[1,1]]"], {}, False),
     "blocks_atoms_doc_subset": (
         ["blocks", "atoms", "--inline", '{"group": {"orders": [4]}, "subset": [[1], [3]]}'], {}, False),
     "blocks_atoms_bad_subset": (["blocks", "atoms", "--orders", "3", "--subset", "none"], {}, False),
-    "blocks_lengths_3": (["blocks", "lengths", "--orders", "3", "--sequence", "[[1],[1],[1],[2],[2],[2]]"], {}, False),
+    "blocks_lengths_3": (
+        ["blocks", "lengths", "--orders", "3", "--sequence", "[[1],[1],[1],[2],[2],[2]]"], {}, False),
     "blocks_delta_3": (["blocks", "delta", "--orders", "3"], {}, False),
     "blocks_catenary_3": (["blocks", "catenary", "--orders", "3"], {}, False),
     "blocks_rho2_3": (["blocks", "rho2", "--orders", "3"], {}, False),
@@ -85,7 +87,8 @@ CASES = {
     "krull_verify_spec": (["krull", "verify", "--spec", "@krull_pq", "--bound", "6"], {}, False),
     "krull_verify_default_bound": (["krull", "verify", "--inline", json.dumps(KRULL_PQ)], {}, False),
     "krull_verify_violation": (
-        ["krull", "verify", "--inline", '{"group": {"orders": [2]}, "primes": [{"name": "p", "class": [0]}]}'],
+        ["krull", "verify", "--inline",
+         '{"group": {"orders": [2]}, "primes": [{"name": "p", "class": [0]}]}'],
         {}, True),
     "krull_fiber_catenary": (
         ["krull", "fiber-catenary", "--inline", json.dumps(KRULL_PQ), "--bound", "4"], {}, False),
@@ -109,7 +112,8 @@ CASES = {
     "towers_submodule": (
         ["towers", "submodule", "--inline", '{"cycle_length": 2, "arcs": [{"bottom": 0, "length": 3}]}'],
         {}, False),
-    "towers_submodule_zero": (["towers", "submodule", "--inline", '{"cycle_length": 2, "arcs": []}'], {}, False),
+    "towers_submodule_zero": (
+        ["towers", "submodule", "--inline", '{"cycle_length": 2, "arcs": []}'], {}, False),
     "towers_genus_step": (
         ["towers", "genus-step", "--inline", json.dumps(TOWERS_T),
          "--genus", '{"udim": 1, "ranks": {"T.0": 1, "T.1": 1}}', "--simple", "T.0"], {}, False),
@@ -131,8 +135,10 @@ CASES = {
     "blocks_catenary_4_threads_0": (["blocks", "catenary", "--orders", "4", "--threads", "0"], {}, False),
     "group_info_threads_env_abc": (["group", "info", "--orders", "4"], {THREADS_ENV: "abc"}, False),
     "blocks_davenport_threads_env_2": (["blocks", "davenport", "--orders", "2"], {THREADS_ENV: "2"}, False),
-    "blocks_lengths_deep": (["blocks", "lengths", "--orders", "2", "--sequence", json.dumps([[1]] * 3000)], {}, False),
-    "blocks_lengths_bool_residues": (["blocks", "lengths", "--orders", "2", "--sequence", "[[true],[true]]"], {}, False),
+    "blocks_lengths_deep": (
+        ["blocks", "lengths", "--orders", "2", "--sequence", json.dumps([[1]] * 3000)], {}, False),
+    "blocks_lengths_bool_residues": (
+        ["blocks", "lengths", "--orders", "2", "--sequence", "[[true],[true]]"], {}, False),
 }
 for _i, _text in enumerate(["[1]", "[[1], 2]", '["1"]', "[null]"]):
     CASES[f"blocks_lengths_entry_not_a_list_{_i}"] = (
@@ -154,7 +160,8 @@ def invoke(name: str, files: dict) -> dict:
             os.environ.pop(THREADS_ENV, None)
             os.environ.update(env)
             if patched:
-                stack.enter_context(mock.patch.object(krull_mod.KrullMonoid, "verify_transfer", _failed_transfer))
+                stack.enter_context(
+                    mock.patch.object(krull_mod.KrullMonoid, "verify_transfer", _failed_transfer))
             stack.enter_context(contextlib.redirect_stderr(err))
             code = run(argv + ["--format", fmt], out=out)
         record[fmt] = {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
