@@ -10,13 +10,12 @@ such an atom.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
 from .abelian import Element, FinAbGroup
 from .errors import InvalidElementError, InvalidSpecificationError
-from .factorize import PresentedMonoid
+from .factorize import PresentedMonoid, _compositions, _evaluate
 
 
 @dataclass(frozen=True)
@@ -181,89 +180,60 @@ class BlockMonoid:
     def presented(self) -> PresentedMonoid:
         """The exponent-vector presentation of this monoid (cached)."""
         if self._presented is None:
-            atom_vectors = [self.vector_of(a) for a in self.atoms()]
             self._presented = PresentedMonoid(
                 alphabet=self.subset,
                 membership=self._vector_is_zero_sum,
-                atoms=sorted(atom_vectors),
+                atoms=sorted(self._atom_vectors()),
             )
         return self._presented
 
     def atoms(self) -> tuple[Sequence, ...]:
-        """All minimal zero-sum sequences over the subset, sorted.
+        """All minimal zero-sum sequences over the subset, sorted."""
+        vectors = sorted(self._atom_vectors(), key=lambda v: [(s, m) for s, m in enumerate(v) if m])
+        return tuple(self._sequence(v) for v in vectors)
 
-        Depth-first search over sequences with nondecreasing element index;
-        a branch dies as soon as some proper nonempty subsequence sums to
-        zero.  All atoms have length <= |G|, which bounds the search.
+    def _atom_vectors(self) -> Iterator[tuple[int, ...]]:
+        """Count vectors over the subset of the minimal zero-sum sequences.
+
+        S·(−σ(S)) is a minimal zero-sum sequence exactly when S is
+        zero-sum-free, so every atom is its word minus the last letter,
+        closed by −σ of that prefix.  An explicit stack walks the zero-sum-free
+        words with nondecreasing subset slots, each with the bitmask of its
+        nonempty subsequence sums; a word is closed when −σ lies in the
+        subset at a slot no smaller than its last one.
         """
-        return tuple(sorted(self._atoms_raw(), key=lambda s: s.counts))
+        width = len(self.subset)
+        neg, rows = _tables(self.group, self.subset)
+        slot_of = {row[0]: s for s, row in enumerate(rows)}
+        # (least slot that may follow, subsequence sums, index of the sum, counts)
+        stack = [(0, 0, 0, (0,) * width)]
+        while stack:
+            start, sums, total, counts = stack.pop()
+            close = slot_of.get(neg[total])
+            if close is not None and close >= start:
+                yield counts[:close] + (counts[close] + 1,) + counts[close + 1:]
+            for s in range(start, width):
+                grown = _grow(sums, rows[s])
+                if not grown & 1:
+                    stack.append((s, grown, rows[s][total], counts[:s] + (counts[s] + 1,) + counts[s + 1:]))
 
-    def _atoms_raw(self) -> list[Sequence]:
-        group, subset = self.group, self.subset
-        card = group.cardinality
-        zero_idx = group.index_of(group.zero)
-        idx = {g: group.index_of(g) for g in group.elements()}
-        # adding a fixed element permutes the mask bits
-        shift = {
-            g: [idx[group.add(h, g)] for h in group.elements()]
-            for g in subset
-        }
-
-        found: list[Sequence] = []
-        stack: list[Element] = []
-
-        def extend(start: int, total: Element, proper_mask: int):
-            # proper_mask: bit i set iff some nonempty proper subsequence of
-            # the current stack sums to the i-th group element
-            if total == group.zero and stack and not (proper_mask >> zero_idx) & 1:
-                found.append(Sequence.from_elements(group, stack))
-                return  # any extension would contain this zero-sum properly
-            if len(stack) >= card:
-                return
-            for j in range(start, len(subset)):
-                g = subset[j]
-                if stack:
-                    new_mask = proper_mask | (1 << idx[total]) | (1 << idx[g])
-                    table = shift[g]
-                    rest = proper_mask
-                    while rest:
-                        low = rest & -rest
-                        new_mask |= 1 << table[low.bit_length() - 1]
-                        rest ^= low
-                else:
-                    new_mask = 0
-                if (new_mask >> zero_idx) & 1:
-                    continue
-                stack.append(g)
-                extend(j, group.add(total, g), new_mask)
-                stack.pop()
-
-        extend(0, group.zero, 0)
-        return found
+    def _sequence(self, vector) -> Sequence:
+        """The sequence of a trusted count vector over the subset."""
+        return Sequence(self.group, tuple((g, m) for g, m in zip(self.subset, vector) if m))
 
     def zero_sum_up_to(self, maxlen: int) -> list[Sequence]:
         """All zero-sum sequences over the subset of length <= maxlen,
-        ordered by (length, lexicographic element word)."""
+        ordered by (length, lexicographic element word).
+
+        The count vectors of each length are scanned in lex order, and for
+        one length ascending words are descending count vectors.  The scan
+        needs no atoms, so it does not build :meth:`presented`.
+        """
         if maxlen < 0:
             raise InvalidSpecificationError("maxlen must be >= 0")
-        group, subset = self.group, self.subset
-        out: list[tuple[int, tuple, Sequence]] = []
-        stack: list[Element] = []
-
-        def extend(start: int, total: Element):
-            if total == group.zero:
-                out.append((len(stack), tuple(stack), Sequence.from_elements(group, stack)))
-            if len(stack) >= maxlen:
-                return
-            for j in range(start, len(subset)):
-                g = subset[j]
-                stack.append(g)
-                extend(j, group.add(total, g))
-                stack.pop()
-
-        extend(0, group.zero)
-        out.sort(key=lambda t: (t[0], t[1]))
-        return [seq for _, _, seq in out]
+        width = len(self.subset)
+        members = [v for w in range(maxlen + 1) for v in _compositions(w, width) if self._vector_is_zero_sum(v)]
+        return [self._sequence(v) for v in sorted(members, key=lambda v: (sum(v), [-m for m in v]))]
 
 
 def minimal_zero_sum_sequences(group: FinAbGroup, subset=None) -> tuple[Sequence, ...]:
@@ -274,41 +244,46 @@ def minimal_zero_sum_sequences(group: FinAbGroup, subset=None) -> tuple[Sequence
 def davenport(group: FinAbGroup) -> int:
     """Davenport constant: maximal length of a minimal zero-sum sequence.
 
-    Computed as 1 + (maximal length of a zero-sum-free sequence): appending
-    the inverse of the sum of a maximal zero-sum-free sequence yields a
-    minimal zero-sum sequence, and dropping one element of a maximal minimal
-    zero-sum sequence yields a zero-sum-free one.  The search runs over
-    nondecreasing element indices and memoizes on (next index, achievable
-    subset sums), the sums encoded as a bitmask over group elements.
+    One more than the maximal length of a zero-sum-free sequence: appending
+    −σ(S) to a zero-sum-free S gives a minimal zero-sum sequence, and
+    dropping one element of one gives a zero-sum-free S.  The longest-word
+    search runs over nondecreasing nonzero elements, memoized on (next
+    element, subsequence sums) by the engine's explicit-stack walker.
     """
-    elements = [g for g in group.elements() if g != group.zero]
-    if not elements:
-        return 1
-    idx = {g: group.index_of(g) for g in group.elements()}
-    zero_idx = idx[group.zero]
-    shift = {g: [idx[group.add(h, g)] for h in group.elements()] for g in elements}
+    _, rows = _tables(group, group.elements()[1:])
 
-    memo: dict[tuple[int, int], int] = {}
+    def children(key):
+        start, sums = key
+        grown = ((j, _grow(sums, rows[j])) for j in range(start, len(rows)))
+        return [(j, (j, mask)) for j, mask in grown if not mask & 1]
 
-    def longest(start: int, sums_mask: int) -> int:
-        key = (start, sums_mask)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        best = 0
-        for j in range(start, len(elements)):
-            g = elements[j]
-            new_mask = sums_mask | (1 << idx[g])
-            table = shift[g]
-            rest = sums_mask
-            while rest:
-                low = rest & -rest
-                new_mask |= 1 << table[low.bit_length() - 1]
-                rest ^= low
-            if (new_mask >> zero_idx) & 1:
-                continue
-            best = max(best, 1 + longest(j, new_mask))
-        memo[key] = best
-        return best
+    def longest(steps):
+        return max((1 + length for _, length in steps), default=0)
 
-    return 1 + longest(0, 0)
+    return 1 + _evaluate((0, 0), {}, children, longest, 0)
+
+
+def _tables(group: FinAbGroup, letters):
+    """(index -> index of the negative, one addition row h -> h + g per
+    element g of ``letters``), over the indices of ``group.elements()``,
+    where the zero element has index 0; |letters|·|G| row entries."""
+    elements, orders = group.elements(), group.orders
+    index = {g: i for i, g in enumerate(elements)}
+    neg = [index[tuple(-x % n for x, n in zip(h, orders))] for h in elements]
+    rows = [
+        [index[tuple((x + y) % n for x, y, n in zip(h, g, orders))] for h in elements]
+        for g in letters
+    ]
+    return neg, rows
+
+
+def _grow(sums: int, row) -> int:
+    """The subsequence-sum bitmask ``sums`` of a sequence after appending the
+    element g with addition row ``row`` (so g's own index is ``row[0]``)."""
+    grown = sums | 1 << row[0]
+    rest = sums
+    while rest:
+        low = rest & -rest
+        grown |= 1 << row[low.bit_length() - 1]
+        rest ^= low
+    return grown

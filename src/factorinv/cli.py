@@ -54,6 +54,8 @@ def _fmt_set(values) -> str:
 
 
 def _load_doc(args) -> dict:
+    if bool(args.spec) == bool(args.inline):
+        raise CliUsageError("exactly one of --spec FILE or --inline JSON is required")
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as handle:
@@ -62,12 +64,10 @@ def _load_doc(args) -> dict:
             raise CliUsageError(f"cannot read {args.spec}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise CliUsageError(f"{args.spec} is not valid JSON: {exc}") from None
-    if args.inline:
-        try:
-            return json.loads(args.inline)
-        except json.JSONDecodeError as exc:
-            raise CliUsageError(f"--inline is not valid JSON: {exc}") from None
-    raise CliUsageError("exactly one of --spec FILE or --inline JSON is required")
+    try:
+        return json.loads(args.inline)
+    except json.JSONDecodeError as exc:
+        raise CliUsageError(f"--inline is not valid JSON: {exc}") from None
 
 
 def _doc_source(from_doc):

@@ -161,12 +161,7 @@ class PresentedMonoid:
         :class:`TruncatedEnumerationError` instead of silently truncating.
         """
         v = self.check_member(v)
-        out = self._factorizations_from(v, 0)
-        if limit is not None and len(out) > limit:
-            raise TruncatedEnumerationError(
-                f"element has more than {limit} factorizations"
-            )
-        return tuple(Factorization(counts) for counts in out)
+        return tuple(Factorization(counts) for counts in self._factorizations_from(v, 0, limit))
 
     def factorization_of(self, v, multiplicities) -> Factorization:
         """Validated factorization of ``v`` from an atom-index -> multiplicity
@@ -184,10 +179,21 @@ class PresentedMonoid:
             raise NotAMemberError(f"{counts} does not factor {v}")
         return z
 
-    def _factorizations_from(self, v: Vector, start: int) -> tuple:
-        """Count tuples of the factorizations of ``v`` into atoms >= ``start``."""
+    def _factorizations_from(self, v: Vector, start: int, limit: Optional[int] = None) -> tuple:
+        """Count tuples of the factorizations of ``v`` into atoms >= ``start``.
+
+        Every key the walk reaches maps its factorizations injectively into
+        those of ``v`` (prefix the atoms taken on the way), so a key with more
+        than ``limit`` of them raises as soon as it is combined; a root cached
+        by an earlier call is checked on return."""
+
+        def capped(out):
+            if limit is not None and len(out) > limit:
+                raise TruncatedEnumerationError(f"element has more than {limit} factorizations")
+            return out
+
         if not any(v):
-            return ((),)
+            return capped(((),))
 
         def children(key):
             return [(j, None if rest is None else (rest, j)) for j, rest in self._quotients(*key)]
@@ -200,9 +206,9 @@ class PresentedMonoid:
                         out.append(((j, tail[0][1] + 1),) + tail[1:])
                     else:
                         out.append(((j, 1),) + tail)
-            return tuple(out)
+            return capped(tuple(out))
 
-        return _evaluate((v, start), self._fact_cache, children, combine, ((),))
+        return capped(_evaluate((v, start), self._fact_cache, children, combine, ((),)))
 
     def length_set(self, v) -> tuple[int, ...]:
         """Sorted set of factorization lengths of ``v``.
@@ -326,14 +332,23 @@ def _evaluate(root, cache, children, combine, empty):
 
 
 def _compositions(total: int, width: int) -> Iterator[Vector]:
-    """Nonnegative integer vectors of given width summing to total, lex order."""
+    """Nonnegative integer vectors of given width summing to total, lex order.
+
+    The lex successor moves one unit from the last nonzero entry to the entry
+    before it and the rest of that entry to the end."""
     if width == 0:
         if total == 0:
             yield ()
         return
-    if width == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, width - 1):
-            yield (head,) + tail
+    v = [0] * width
+    v[-1] = total
+    last = width - 1 if total else 0  # position of the last nonzero entry
+    while True:
+        yield tuple(v)
+        if last == 0:
+            return
+        rest = v[last] - 1
+        v[last] = 0
+        v[last - 1] += 1
+        v[-1] = rest
+        last = width - 1 if rest else last - 1

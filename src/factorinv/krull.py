@@ -86,15 +86,15 @@ class KrullMonoid(PresentedMonoid):
         """Atoms are exactly the prime-level realizations of the minimal
         zero-sum sequences over the image classes."""
         atoms = []
-        for block_atom in self._blocks.atoms():
-            choices = []
-            for g, mult in block_atom.counts:
-                primes = self._slot_primes[self.image_classes.index(g)]
-                combos = [
+        for block_atom in self._blocks._atom_vectors():
+            choices = [
+                [
                     Counter(combo)
-                    for combo in itertools.combinations_with_replacement(primes, mult)
+                    for combo in itertools.combinations_with_replacement(self._slot_primes[slot], mult)
                 ]
-                choices.append(combos)
+                for slot, mult in enumerate(block_atom)
+                if mult
+            ]
             for picks in itertools.product(*choices):
                 vec = [0] * len(self.primes)
                 for counter in picks:

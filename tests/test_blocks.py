@@ -1,4 +1,5 @@
 import gc
+import random
 import weakref
 from collections import Counter
 
@@ -103,6 +104,23 @@ def test_every_atom_is_minimal(orders):
         assert is_minimal_zero_sum(G, list(atom.elements()))
 
 
+def test_atoms_match_brute_force_on_random_subsets():
+    # the closing rule depends on the subset: -sum must lie in it, at a slot
+    # no smaller than the word's last one
+    rng = random.Random(20261018)
+    for orders in abelian_groups_up_to(8):
+        G = make_group(orders)
+        elements = list(G.elements())
+        for _ in range(12):
+            subset = rng.sample(elements, rng.randint(1, len(elements)))
+            B = BlockMonoid(G, subset)
+            mine = [seq_counter(a) for a in B.atoms()]
+            brute = {tuple(sorted(c.items())) for c in minimal_zero_sum_brute(G, subset)}
+            assert {tuple(sorted(c.items())) for c in mine} == brute, (orders, subset)
+            assert len(mine) == len(brute)
+            assert {B.vector_of(a) for a in B.atoms()} == set(B.presented().atoms)
+
+
 def test_no_atom_divides_another():
     G = make_group([3, 3])
     atoms = minimal_zero_sum_sequences(G)
@@ -193,6 +211,8 @@ def test_zero_sum_up_to_matches_brute_multisets():
         assert len(mine) == len(brute)
         key = lambda c: tuple(sorted(c.items()))
         assert sorted(map(key, mine)) == sorted(map(key, brute))
+        # the brute force lists by length, then by nondecreasing element word
+        assert mine == brute
 
 
 def test_zero_sum_up_to_deterministic_no_duplicates():
@@ -250,3 +270,21 @@ def test_dropped_krull_monoid_is_freed_without_the_cycle_collector():
         assert dead() is None
     finally:
         gc.enable()
+
+
+def test_one_atom_of_length_1200():
+    atoms = BlockMonoid(make_group([1200]), [(1,)]).atoms()
+    assert [(a.counts, a.length) for a in atoms] == [((((1,), 1200),), 1200)]
+
+
+def test_zero_sum_up_to_deep_over_the_trivial_group():
+    seqs = BlockMonoid(make_group([1])).zero_sum_up_to(1100)
+    assert [s.length for s in seqs] == list(range(1101))
+
+
+def test_elements_of_a_krull_monoid_with_1100_primes():
+    primes = [f"p{i}" for i in range(1100)]
+    monoid = make_krull(make_group([1]), primes, {p: (0,) for p in primes})
+    members = list(monoid.elements(1))
+    assert len(members) == 1101
+    assert members[0] == (0,) * 1100 and members[1] == (0,) * 1099 + (1,)

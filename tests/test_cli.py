@@ -355,3 +355,49 @@ def test_every_bounded_command_rejects_a_negative_bound(argv, bound, capsys):
     code, out = capture(argv + ["--bound", bound])
     assert code == 1 and out == ""
     assert capsys.readouterr().err == "error: --bound must be >= 0\n"
+
+
+TOWER_S = json.dumps({
+    "group": {"orders": [2]},
+    "towers": [{"name": "T", "type": "cycle", "length": 2, "class": [1]}],
+})
+LATTICE_AB = json.dumps({
+    "simples": ["s"],
+    "nodes": [{"id": "a", "principal": True}, {"id": "b", "principal": True}],
+    "covers": [{"upper": "a", "lower": "b", "label": "s"}],
+    "top": "a",
+    "bottom": "b",
+})
+# (argv without the document, a valid --spec document for it)
+DOCUMENT_SOURCES = [
+    (["blocks", "atoms"], '{"group": {"orders": [3]}, "subset": "nonzero"}'),
+    (["blocks", "lengths", "--sequence", "[[1],[2]]"], '{"orders": [3]}'),
+    (["blocks", "delta", "--bound", "3"], '{"orders": [3]}'),
+    (["blocks", "catenary", "--bound", "3"], '{"orders": [3]}'),
+    (["blocks", "rho2", "--bound", "3"], '{"orders": [3]}'),
+    (["krull", "verify", "--bound", "2"], KRULL_PQ),
+    (["krull", "fiber-catenary", "--bound", "2"], KRULL_PQ),
+    (["krull", "synth"], TOWER_S),
+    (["towers", "submodule"], '{"cycle_length": 2, "arcs": [{"bottom": 0, "length": 3}]}'),
+    (["towers", "genus-step", "--genus", '{"udim": 1, "ranks": {"T.0": 1}}', "--simple", "T.0"], TOWER_S),
+    (["chains", "analyze"], LATTICE_AB),
+]
+
+
+@pytest.mark.parametrize("argv,doc", DOCUMENT_SOURCES, ids=[" ".join(argv[:2]) for argv, _ in DOCUMENT_SOURCES])
+def test_spec_and_inline_together_are_rejected(argv, doc, tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(doc)
+    code, _ = capture(argv + ["--spec", str(path)])
+    assert code == 0, "the --spec document alone is valid"
+    capsys.readouterr()
+    for inline in ("{broken", doc):
+        code, out = capture(argv + ["--spec", str(path), "--inline", inline])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: exactly one of --spec FILE or --inline JSON is required\n"
+
+
+def test_blocks_atoms_of_a_long_cyclic_atom():
+    code, out = capture(["blocks", "atoms", "--orders", "1200", "--subset", "[[1]]"])
+    assert code == 0
+    assert "atom  1^1200  length 1200" in out

@@ -86,6 +86,25 @@ def test_factorizations_limit_guard():
         P.factorizations(v, limit=1)
 
 
+def test_factorizations_limit_is_enforced_while_enumerating():
+    B, P = block_presented([6])
+    v = B.vector_of(B.sequence([(1,)] * 6 + [(5,)] * 6 + [(2,)] * 3 + [(4,)] * 3))
+    full = P.factorizations(v, limit=None)
+    assert len(full) == 28
+    for limit in range(len(full)):
+        B, P = block_presented([6])
+        with pytest.raises(TruncatedEnumerationError):
+            P.factorizations(v, limit=limit)
+        assert all(len(entry) <= limit for entry in P._fact_cache.values())
+    for limit in (len(full), len(full) + 1):
+        assert block_presented([6])[1].factorizations(v, limit=limit) == full
+    # a root cached by an unlimited call is still checked
+    B, P = block_presented([6])
+    P.catenary_of(v)
+    with pytest.raises(TruncatedEnumerationError):
+        P.factorizations(v, limit=len(full) - 1)
+
+
 @pytest.mark.parametrize(
     "orders,bound",
     [([3], 8), ([4], 8), ([2, 2], 8), ([5], 7), ([3, 3], 6), ([9], 6)],
