@@ -29,7 +29,7 @@ class FinAbGroup:
 
     def __post_init__(self):
         orders = tuple(self.orders)
-        if any(not isinstance(n, int) or isinstance(n, bool) or n < 1 for n in orders):
+        if any(not _is_int(n) or n < 1 for n in orders):
             raise InvalidSpecificationError(
                 f"cyclic factor orders must be positive integers, got {self.orders!r}"
             )
@@ -78,7 +78,7 @@ class FinAbGroup:
             raise InvalidElementError(
                 f"expected {len(self.orders)} residues, got {len(residues)}: {residues!r}"
             )
-        if any(not isinstance(r, int) or isinstance(r, bool) for r in residues):
+        if not all(map(_is_int, residues)):
             raise InvalidElementError(f"residues must be integers: {residues!r}")
         return tuple(r % n for r, n in zip(residues, self.orders))
 
@@ -86,10 +86,7 @@ class FinAbGroup:
         return (
             isinstance(a, tuple)
             and len(a) == len(self.orders)
-            and all(
-                isinstance(r, int) and not isinstance(r, bool) and 0 <= r < n
-                for r, n in zip(a, self.orders)
-            )
+            and all(_is_int(r) and 0 <= r < n for r, n in zip(a, self.orders))
         )
 
     def check(self, a) -> Element:
@@ -140,3 +137,32 @@ class FinAbGroup:
 def make_group(orders) -> FinAbGroup:
     """Group with the given list of cyclic factor orders."""
     return FinAbGroup(tuple(orders))
+
+
+def _is_int(x) -> bool:
+    """Whether ``x`` is an integer and not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _tables(group: FinAbGroup, letters):
+    """(index -> index of the negative, one addition row h -> h + g per
+    element g of ``letters``), over the indices of ``group.elements()``,
+    where the zero element has index 0; |letters|·|G| row entries."""
+    elements, orders = group.elements(), group.orders
+    index = {g: i for i, g in enumerate(elements)}
+    neg = [index[tuple(-x % n for x, n in zip(h, orders))] for h in elements]
+    rows = [
+        [index[tuple((x + y) % n for x, y, n in zip(h, g, orders))] for h in elements]
+        for g in letters
+    ]
+    return neg, rows
+
+
+def _translate(mask: int, row) -> int:
+    """The bitmask of element indices ``mask`` moved by the addition row ``row``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << row[low.bit_length() - 1]
+        mask ^= low
+    return out

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .abelian import Element, FinAbGroup
+from .abelian import Element, FinAbGroup, _is_int, _tables, _translate
 from .errors import InvalidElementError, InvalidSpecificationError
-from .factorize import PresentedMonoid, _compositions, _evaluate
+from .factorize import PresentedMonoid, _evaluate, _zero_sum_vectors
 
 
 @dataclass(frozen=True)
@@ -33,7 +33,7 @@ class Sequence:
     def from_counts(cls, group: FinAbGroup, counts) -> "Sequence":
         merged: dict[Element, int] = {}
         for g, m in dict(counts).items():
-            if not isinstance(m, int) or m < 0:
+            if not _is_int(m) or m < 0:
                 raise InvalidElementError(f"exponent of {g!r} must be a nonnegative integer")
             if m:
                 merged[group.check(g)] = merged.get(g, 0) + m
@@ -184,6 +184,7 @@ class BlockMonoid:
                 alphabet=self.subset,
                 membership=self._vector_is_zero_sum,
                 atoms=sorted(self._atom_vectors()),
+                grading=(self.group, self.subset),
             )
         return self._presented
 
@@ -225,14 +226,14 @@ class BlockMonoid:
         """All zero-sum sequences over the subset of length <= maxlen,
         ordered by (length, lexicographic element word).
 
-        The count vectors of each length are scanned in lex order, and for
-        one length ascending words are descending count vectors.  The scan
-        needs no atoms, so it does not build :meth:`presented`.
+        The members-only walk yields the count vectors of each length in lex
+        order, and for one length ascending words are descending count
+        vectors.  The walk needs no atoms, so it does not build
+        :meth:`presented`.
         """
         if maxlen < 0:
             raise InvalidSpecificationError("maxlen must be >= 0")
-        width = len(self.subset)
-        members = [v for w in range(maxlen + 1) for v in _compositions(w, width) if self._vector_is_zero_sum(v)]
+        members = _zero_sum_vectors(*_tables(self.group, self.subset), maxlen)
         return [self._sequence(v) for v in sorted(members, key=lambda v: (sum(v), [-m for m in v]))]
 
 
@@ -263,27 +264,7 @@ def davenport(group: FinAbGroup) -> int:
     return 1 + _evaluate((0, 0), {}, children, longest, 0)
 
 
-def _tables(group: FinAbGroup, letters):
-    """(index -> index of the negative, one addition row h -> h + g per
-    element g of ``letters``), over the indices of ``group.elements()``,
-    where the zero element has index 0; |letters|·|G| row entries."""
-    elements, orders = group.elements(), group.orders
-    index = {g: i for i, g in enumerate(elements)}
-    neg = [index[tuple(-x % n for x, n in zip(h, orders))] for h in elements]
-    rows = [
-        [index[tuple((x + y) % n for x, y, n in zip(h, g, orders))] for h in elements]
-        for g in letters
-    ]
-    return neg, rows
-
-
 def _grow(sums: int, row) -> int:
     """The subsequence-sum bitmask ``sums`` of a sequence after appending the
     element g with addition row ``row`` (so g's own index is ``row[0]``)."""
-    grown = sums | 1 << row[0]
-    rest = sums
-    while rest:
-        low = rest & -rest
-        grown |= 1 << row[low.bit_length() - 1]
-        rest ^= low
-    return grown
+    return sums | 1 << row[0] | _translate(sums, row)

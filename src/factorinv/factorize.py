@@ -4,8 +4,12 @@ A monoid is presented by a finite alphabet of prime labels, a membership
 predicate on exponent vectors, and an explicit finite atom set.  In the
 reduced commutative case a factorization is just a multiset of atoms, so the
 engine computes sets of lengths, distance sets, permutable distances,
-elasticities, and catenary degrees by direct enumeration over exponent
-vectors of bounded 1-norm.
+elasticities, and catenary degrees by scanning the members of bounded
+1-norm.  A monoid with a zero-sum grading (block and Krull monoids) walks
+its members only; any other tests every composition.  The catenary degree
+of a scan comes from its Betti elements, with no factorization listed; that
+of one element, and of a fiber, is the Prim bottleneck of its
+factorizations.
 
 Public methods validate their input once; internal scans work on trusted
 int count vectors with explicit stacks, so no element meets a recursion limit.
@@ -14,8 +18,10 @@ int count vectors with explicit stacks, so no element meets a recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Iterator, Optional
 
+from .abelian import _is_int, _tables, _translate
 from .errors import (
     IncomparableError,
     InvalidSpecificationError,
@@ -93,13 +99,27 @@ class PresentedMonoid:
     the alphabet that is divisor-closed in the sense that quotients of
     members by members are members whenever they exist; the atom list must
     be the complete set of minimal nonzero members.
+
+    ``grading``, when given, is a pair (finite abelian group, class of each
+    letter) such that the members are exactly the vectors whose class sum
+    vanishes, as for block and Krull monoids.  :meth:`elements` then walks
+    the members only; without it, it tests every composition.
     """
 
-    def __init__(self, alphabet, membership: Callable[[Vector], bool], atoms):
+    def __init__(self, alphabet, membership: Callable[[Vector], bool], atoms, grading=None):
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InvalidSpecificationError("alphabet labels must be distinct")
         self.membership = membership
+        if grading is None:
+            # in the trivial group every vector has class sum zero, so the
+            # walk yields every composition and each one is tested
+            self._grading, self._scan_test = ([0], [[0]] * len(self.alphabet)), membership
+        else:
+            group, classes = grading
+            if len(classes) != len(self.alphabet):
+                raise InvalidSpecificationError("a grading needs one class per letter")
+            self._grading, self._scan_test = _tables(group, classes), None
         self.atoms = tuple(tuple(a) for a in atoms)
         self._sparse = tuple(tuple((i, x) for i, x in enumerate(a) if x) for a in self.atoms)
         self._validate_atoms()
@@ -132,7 +152,7 @@ class PresentedMonoid:
         v = tuple(v)
         return (
             len(v) == len(self.alphabet)
-            and all(isinstance(x, int) and x >= 0 for x in v)
+            and all(_is_int(x) and x >= 0 for x in v)
             and bool(self.membership(v))
         )
 
@@ -144,11 +164,10 @@ class PresentedMonoid:
 
     def elements(self, size_bound: int) -> Iterator[Vector]:
         """All members of 1-norm <= size_bound, by (norm, lex) order."""
-        width = len(self.alphabet)
-        for w in range(size_bound + 1):
-            for v in _compositions(w, width):
-                if self.membership(v):
-                    yield v
+        test = self._scan_test
+        for v in _zero_sum_vectors(*self._grading, size_bound):
+            if test is None or test(v):
+                yield v
 
     # -- factorizations --------------------------------------------------
 
@@ -170,9 +189,9 @@ class PresentedMonoid:
         v = self.check_member(v)
         counts = tuple(sorted(dict(multiplicities).items()))
         for idx, mult in counts:
-            if not 0 <= idx < len(self.atoms):
-                raise InvalidSpecificationError(f"no atom with index {idx}")
-            if not isinstance(mult, int) or mult < 1:
+            if not _is_int(idx) or not 0 <= idx < len(self.atoms):
+                raise InvalidSpecificationError(f"no atom with index {idx!r}")
+            if not _is_int(mult) or mult < 1:
                 raise InvalidSpecificationError(f"multiplicity of atom {idx} must be >= 1")
         z = Factorization(counts)
         if self.weighted_sum(z) != v:
@@ -269,9 +288,66 @@ class PresentedMonoid:
         v = self.check_member(v)
         return _bottleneck(self._factorizations_from(v, 0))
 
-    def catenary(self, size_bound: int):
-        """Max of :meth:`catenary_of` over members of 1-norm <= size_bound."""
-        return max((self.catenary_of(v) for v in self.elements(size_bound)), default=0)
+    def catenary(self, size_bound: int) -> int:
+        """Max of :meth:`catenary_of` over members of 1-norm <= size_bound,
+        from the Betti elements, listing no factorization.
+
+        The catenary degree is the largest μ(b) over the Betti elements b
+        (Chapman, García-Sánchez, Llena, Ponomarenko, Rosales, Manuscripta
+        Math. 120 (2006)); the bounded form holds as every divisor of a
+        member is a smaller member.  The R-classes of v (its factorizations
+        linked by shared atoms) are the components of the graph on the atoms
+        dividing v with a ~ a' when a' divides v - a; μ(v) is the largest
+        least length of a class, and a Betti element has two classes or more.
+        Members come in (norm, lex) order, so each v - a is already known:
+        its least length and its dividing atoms, an int bitmask (the AND of
+        per-letter masks).  0 when no member has two classes.
+        """
+        base = size_bound + 1
+        weights = [base**i for i in range(len(self.alphabet))]
+        # per letter i and value x: the atoms whose i-th entry is <= x
+        divides = [[0] * base for _ in self.alphabet]
+        code_of = {}  # atom bit -> the atom's code, its base-``base`` value
+        for j, (atom, sparse) in enumerate(zip(self.atoms, self._sparse)):
+            bit = 1 << j
+            code_of[bit] = sum(x * weights[i] for i, x in sparse)
+            for i, x in enumerate(atom):
+                for y in range(x, base):
+                    divides[i][y] |= bit
+        least: dict[int, int] = {}  # member code -> least factorization length
+        dividing: dict[int, int] = {}  # member code -> bitmask of the atoms dividing it
+        worst = 0
+        for v in self.elements(size_bound):
+            code = sum(map(mul, v, weights))
+            mask = -1
+            for row, x in zip(divides, v):
+                mask &= row[x]
+            dividing[code] = mask
+            # per dividing atom a: 1 + the least length of v - a, and the atoms dividing v - a
+            shortest, links = {}, {}
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                quotient = code - code_of[bit]
+                shortest[bit] = 1 + least[quotient]
+                links[bit] = dividing[quotient]
+            lows = []  # the least length of each R-class
+            rest = mask
+            while rest:
+                component = frontier = rest & -rest
+                while frontier:
+                    bit = frontier & -frontier
+                    frontier ^= bit
+                    new = links[bit] & ~component
+                    component |= new
+                    frontier |= new
+                lows.append(min(length for bit, length in shortest.items() if bit & component))
+                rest &= ~component
+            least[code] = min(lows, default=0)
+            if len(lows) > 1:
+                worst = max(worst, *lows)
+        return worst
 
     def delta(self, size_bound: int) -> tuple[int, ...]:
         """Union of successive-gap sets over members of 1-norm <= size_bound."""
@@ -331,24 +407,51 @@ def _evaluate(root, cache, children, combine, empty):
     return cache[root]
 
 
-def _compositions(total: int, width: int) -> Iterator[Vector]:
-    """Nonnegative integer vectors of given width summing to total, lex order.
+def _zero_sum_vectors(neg, rows, size_bound: int) -> Iterator[Vector]:
+    """Count vectors over letters with addition rows ``rows`` (from
+    ``abelian._tables``, negation map ``neg``) whose class sum vanishes, of
+    1-norm <= size_bound, by (norm, lex) order.
 
-    The lex successor moves one unit from the last nonzero entry to the entry
-    before it and the rest of that entry to the end."""
-    if width == 0:
-        if total == 0:
+    Each norm layer is an explicit-stack walk that assigns the slots left to
+    right, each in ascending order.  ``reach[s][r]`` is the bitmask of the
+    class sums of exactly r letters from slots >= s, so a slot value is
+    taken only when the later slots can still close the class sum, and
+    every leaf is a member.  The table grows one norm layer at a time by
+    reach[s][r] = reach[s+1][r] | (reach[s][r-1] moved by slot s's class).
+    """
+    width = len(rows)
+    if not width:
+        if size_bound >= 0:
             yield ()
         return
+    last = width - 1
+    reach = [[1] for _ in rows]
     v = [0] * width
-    v[-1] = total
-    last = width - 1 if total else 0  # position of the last nonzero entry
-    while True:
-        yield tuple(v)
-        if last == 0:
-            return
-        rest = v[last] - 1
-        v[last] = 0
-        v[last - 1] += 1
-        v[-1] = rest
-        last = width - 1 if rest else last - 1
+    zeros = [0] * width
+    for n in range(size_bound + 1):
+        if n:
+            column = 0
+            for s in range(last, -1, -1):
+                column |= _translate(reach[s][n - 1], rows[s])
+                reach[s].append(column)
+        if not reach[0][n] & 1:
+            continue
+        # (slot, units left for it and later slots, class sum before it,
+        # units of the slot before it)
+        stack = [(0, n, 0, 0)]
+        while stack:
+            s, r, h, k = stack.pop()
+            if s:
+                v[s - 1] = k
+            if not r or s == last:  # the later slots are empty, or slot s takes the rest
+                v[s:] = zeros[s:]
+                v[last] = r
+                yield tuple(v)
+                continue
+            row, later = rows[s], reach[s + 1]
+            children = []
+            for k in range(r + 1):
+                if later[r - k] >> neg[h] & 1:
+                    children.append((s + 1, r - k, h, k))
+                h = row[h]
+            stack.extend(reversed(children))

@@ -68,6 +68,7 @@ class KrullMonoid(PresentedMonoid):
             alphabet=self.primes,
             membership=lambda v: is_zero_sum(image(v)),
             atoms=self._compute_atoms(),
+            grading=(group, [self.classes[p] for p in self.primes]),
         )
         self._atom_images = tuple(self._image(a) for a in self.atoms)
 

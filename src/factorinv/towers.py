@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .abelian import Element, FinAbGroup
+from .abelian import Element, FinAbGroup, _is_int
 from .errors import (
     InternalConsistencyError,
     InvalidElementError,
@@ -37,11 +37,13 @@ def disjoint_prefix_cover(n: int, progressions) -> list[int]:
     (prefix size 0); once every progression has a private residue, each
     prefix extends to the last private residue of its progression.
     """
-    if n < 1:
-        raise InvalidSpecificationError("n must be >= 1")
+    if not _is_int(n) or n < 1:
+        raise InvalidSpecificationError(f"n must be an integer >= 1, got {n!r}")
     progs = []
     for a, k in progressions:
-        if not isinstance(k, int) or k < 0:
+        if not _is_int(a):
+            raise InvalidSpecificationError(f"progression start must be an integer, got {a!r}")
+        if not _is_int(k) or k < 0:
             raise InvalidSpecificationError(f"progression length offset must be >= 0, got {k!r}")
         progs.append((a % n, k))
     full = set(range(n))
@@ -102,7 +104,9 @@ class Arc:
     length: int
 
     def __post_init__(self):
-        if not isinstance(self.length, int) or self.length < 1:
+        if not _is_int(self.bottom):
+            raise InvalidSpecificationError(f"arc bottom must be an integer, got {self.bottom!r}")
+        if not _is_int(self.length) or self.length < 1:
             raise InvalidSpecificationError(f"arc length must be >= 1, got {self.length!r}")
 
 
@@ -115,7 +119,7 @@ class ArcModule:
 
     def __post_init__(self):
         n = self.cycle_length
-        if not isinstance(n, int) or n < 1:
+        if not _is_int(n) or n < 1:
             raise InvalidSpecificationError(f"cycle length must be >= 1, got {n!r}")
         arcs = tuple(
             a if isinstance(a, Arc) else Arc(*a) for a in self.arcs
@@ -218,7 +222,7 @@ class Tower:
     def __post_init__(self):
         if self.kind not in (CYCLE, FAITHFUL):
             raise InvalidSpecificationError(f"tower kind must be 'cycle' or 'faithful', got {self.kind!r}")
-        if not isinstance(self.length, int) or self.length < 1:
+        if not _is_int(self.length) or self.length < 1:
             raise InvalidSpecificationError(f"tower length must be >= 1, got {self.length!r}")
 
 
@@ -307,11 +311,11 @@ class GenusVector:
     ranks: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        if not isinstance(self.udim, int) or self.udim < 1:
+        if not _is_int(self.udim) or self.udim < 1:
             raise InvalidSpecificationError(f"udim must be a positive integer, got {self.udim!r}")
         items = sorted(dict(self.ranks).items())
-        if any(r < 0 for _, r in items):
-            raise InvalidSpecificationError(f"ranks must be nonnegative: {items}")
+        if any(not _is_int(r) or r < 0 for _, r in items):
+            raise InvalidSpecificationError(f"ranks must be nonnegative integers: {items}")
         # zero entries are dropped so equality is structural
         object.__setattr__(self, "ranks", tuple((k, v) for k, v in items if v))
 

@@ -124,6 +124,30 @@ def naive_length_set(atoms, v) -> set:
     return {len(f) for f in naive_factorizations(atoms, v)}
 
 
+def composition_scan(monoid, bound: int) -> list[tuple[int, ...]]:
+    """Members of 1-norm <= bound in (norm, lex) order, by asking the
+    monoid's membership predicate about every count vector: the vectors of
+    one norm are the letter multisets of that size, sorted."""
+    width = len(monoid.alphabet)
+    members = []
+    for norm in range(bound + 1):
+        layer = []
+        for letters in itertools.combinations_with_replacement(range(width), norm):
+            counts = [0] * width
+            for i in letters:
+                counts[i] += 1
+            layer.append(tuple(counts))
+        members.extend(v for v in sorted(layer) if monoid.membership(v))
+    return members
+
+
+def prim_catenary(monoid, bound: int) -> int:
+    """Catenary degree up to a bound as the largest catenary degree of one
+    member (the Prim bottleneck of its listed factorizations) over the
+    composition scan."""
+    return max((monoid.catenary_of(v) for v in composition_scan(monoid, bound)), default=0)
+
+
 def catenary_minimax(factorizations) -> int:
     """Catenary degree from the chain definition, via minimax path weights.
 

@@ -360,3 +360,22 @@ def test_criterion_11_distance_axioms_sampled():
         checked += 1
     assert checked >= 10_000
     report(11, f"distance axioms (D1)-(D5) hold on {checked} sampled triples")
+
+
+# -- criterion 12 --------------------------------------------------------------
+
+
+def test_criterion_12_catenary_degrees_from_the_literature():
+    # c(C_n) = n for n >= 3, c(C3xC3) = 3, c(C2xC4) = 4 (Geroldinger and
+    # Halter-Koch, Non-Unique Factorizations (2006); Geroldinger, Grynkiewicz
+    # and Schmid, J. Theor. Nombres Bordeaux 23 (2011))
+    start = time.time()
+    cases = [([n], 2 * n, n) for n in range(3, 9)] + [([3, 3], 10, 3), ([2, 4], 10, 4)]
+    for orders, bound, expected in cases:
+        G = make_group(orders)
+        P = BlockMonoid(G, subset_nonzero(G)).presented()
+        assert P.catenary(bound) == expected, (orders, bound)
+        assert not P._fact_cache
+    elapsed = time.time() - start
+    report(12, f"c(C_n) = n for 3 <= n <= 8 at bound 2n, c(C3xC3) = 3 and c(C2xC4) = 4 "
+               f"at bound 10, from Betti elements alone ({elapsed:.1f}s)")

@@ -288,3 +288,11 @@ def test_elements_of_a_krull_monoid_with_1100_primes():
     members = list(monoid.elements(1))
     assert len(members) == 1101
     assert members[0] == (0,) * 1100 and members[1] == (0,) * 1099 + (1,)
+
+
+def test_from_counts_rejects_bool_and_fractional_exponents():
+    G = make_group([3])
+    assert Sequence.from_counts(G, {(1,): 2}).length == 2
+    for bad in (True, 2.0):
+        with pytest.raises(InvalidElementError):
+            Sequence.from_counts(G, {(1,): bad})

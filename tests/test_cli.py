@@ -332,6 +332,31 @@ def test_malformed_input_is_one_error_line_not_a_traceback(argv, capsys):
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
+TOWER_F2 = {"group": {"orders": [2]}, "towers": [{"name": "F", "type": "faithful", "length": 2, "class": [1]}]}
+TOWER_BOOL_LENGTH = {"group": {"orders": [2]}, "towers": [{"name": "F", "type": "faithful", "length": True, "class": [1]}]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["krull", "synth", "--inline", json.dumps(TOWER_BOOL_LENGTH)],
+        ["towers", "genus-step", "--inline", json.dumps(TOWER_F2),
+         "--genus", '{"udim":1,"ranks":{"F.1":1.5}}', "--simple", "F.1"],
+        ["towers", "genus-step", "--inline", json.dumps(TOWER_F2),
+         "--genus", '{"udim":true,"ranks":{"F.1":1}}', "--simple", "F.1"],
+        ["towers", "submodule", "--inline", '{"cycle_length": true, "arcs": [{"bottom": 0, "length": 1}]}'],
+        ["towers", "submodule", "--inline",
+         '{"cycle_length": 2, "arcs": [{"bottom": 0, "length": true}, {"bottom": 1, "length": 2}]}'],
+    ],
+    ids=["tower-length-true", "rank-1.5", "udim-true", "cycle-length-true", "arc-length-true"],
+)
+def test_bool_or_fractional_integer_fields_are_one_error_line(argv, capsys):
+    code, out = capture(argv)
+    assert code == 1 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 KRULL_PQ = '{"group": {"orders": [2]}, "primes": [{"name": "p", "class": [1]}, {"name": "q", "class": [1]}]}'
 BOUNDED = [
     ["blocks", "delta", "--orders", "3"],

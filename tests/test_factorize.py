@@ -294,3 +294,19 @@ def test_delta_inside_catenary_interval():
         delta = set(P.delta(bound))
         cat = P.catenary(bound)
         assert delta <= set(range(1, cat - 1))
+
+
+def test_entries_and_multiplicities_reject_bools_and_fractions():
+    B, P = block_presented([3])
+    v = B.vector_of(B.sequence([(1,)] * 3 + [(2,)] * 3))
+    assert P.contains(v) and P.factorization_of(v, {1: 3}).length == 3
+    for bad in (True, 1.0):
+        assert not P.contains((bad, 1))
+        with pytest.raises(NotAMemberError):
+            P.factorizations((bad, 1))
+    with pytest.raises(InvalidSpecificationError):
+        P.factorization_of(v, {1: 3.0})
+    with pytest.raises(InvalidSpecificationError):
+        P.factorization_of(B.vector_of(B.sequence([(1,), (2,)])), {1: True})
+    with pytest.raises(InvalidSpecificationError):
+        P.factorization_of(B.vector_of(B.sequence([(1,), (2,)])), {True: 1})

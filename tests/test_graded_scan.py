@@ -1,0 +1,107 @@
+"""The members-only graded walk and the Betti-element catenary degree,
+against the composition scan and the Prim catenary of ``oracles``."""
+
+import random
+from math import comb
+
+import pytest
+
+from factorinv.abelian import make_group
+from factorinv.blocks import BlockMonoid, subset_nonzero
+from factorinv.errors import InvalidSpecificationError
+from factorinv.factorize import PresentedMonoid
+
+from conftest import abelian_groups_up_to
+from oracles import composition_scan, prim_catenary
+from test_acceptance import krull_batch
+
+GROUPS = abelian_groups_up_to(12)
+BOUND = 6
+
+
+def subsets(orders, rng):
+    """G, G minus zero (when nonempty) and three seeded random subsets."""
+    elements = make_group(orders).elements()
+    out = [elements]
+    if len(elements) > 1:
+        out.append(elements[1:])
+    out.extend(rng.sample(elements, rng.randint(1, len(elements))) for _ in range(3))
+    return out
+
+
+def test_groups_include_the_trivial_group():
+    assert [] in GROUPS and [3, 4] in GROUPS and [2, 2, 3] in GROUPS
+
+
+@pytest.mark.parametrize("orders", GROUPS, ids=lambda o: "x".join(map(str, o)) or "1")
+def test_graded_elements_and_catenary_match_the_oracles(orders):
+    rng = random.Random(f"graded:{orders}")
+    G = make_group(orders)
+    for subset in subsets(orders, rng):
+        P = BlockMonoid(G, subset).presented()
+        for bound in (0, 1, BOUND):
+            assert list(P.elements(bound)) == composition_scan(P, bound), (subset, bound)
+        assert P.catenary(BOUND) == prim_catenary(P, BOUND), subset
+
+
+def test_graded_elements_and_catenary_on_the_krull_batch():
+    for H in krull_batch():
+        assert list(H.elements(BOUND)) == composition_scan(H, BOUND), H.classes
+        assert H.catenary(BOUND) == prim_catenary(H, BOUND), H.classes
+        blocks = H.block_monoid().presented()
+        assert blocks.catenary(BOUND) == prim_catenary(blocks, BOUND), H.classes
+
+
+def test_ungraded_monoid_scans_compositions_and_agrees():
+    G = make_group([2, 3])
+    B = BlockMonoid(G, subset_nonzero(G))
+    graded = B.presented()
+    tested = []
+    plain = PresentedMonoid(graded.alphabet, lambda v: tested.append(v) or graded.membership(v), graded.atoms)
+    tested.clear()
+    assert list(plain.elements(7)) == list(graded.elements(7)) == composition_scan(graded, 7)
+    # every composition of norm <= 7 over 5 letters, each tested once
+    assert len(tested) == len(set(tested)) == sum(comb(n + 4, 4) for n in range(8))
+    assert plain.catenary(7) == graded.catenary(7) == prim_catenary(graded, 7)
+
+
+def test_grading_needs_one_class_per_letter():
+    G = make_group([2])
+    with pytest.raises(InvalidSpecificationError):
+        PresentedMonoid(["a"], lambda v: v[0] % 2 == 0, [(2,)], grading=(G, [(1,), (1,)]))
+
+
+def test_graded_elements_test_no_composition():
+    G = make_group([2, 2, 2])
+    B = BlockMonoid(G, subset_nonzero(G))
+    calls = {True: 0, False: 0}
+    predicate = B._vector_is_zero_sum
+
+    def counted(v):
+        result = predicate(v)
+        calls[result] += 1
+        return result
+
+    B._vector_is_zero_sum = counted
+    P = B.presented()
+    assert P.membership is counted and calls[False] == 0
+    calls[True] = 0
+    members = list(P.elements(8))
+    assert members == composition_scan(BlockMonoid(G, subset_nonzero(G)).presented(), 8)
+    assert calls == {True: 0, False: 0}
+
+
+def test_catenary_lists_no_factorizations():
+    G = make_group([2, 4])
+    P = BlockMonoid(G, subset_nonzero(G)).presented()
+    assert P.catenary(10) == 4
+    assert P._fact_cache == {}
+    assert P.catenary_of(P.atoms[0]) == 0
+    assert P._fact_cache
+
+
+def test_catenary_below_the_first_betti_element_is_zero():
+    G = make_group([3])
+    P = BlockMonoid(G, subset_nonzero(G)).presented()
+    # the first Betti element is 1^3 2^3, of 1-norm 6
+    assert [P.catenary(bound) for bound in range(8)] == [0] * 6 + [3, 3]

@@ -278,3 +278,24 @@ def test_cycle_standard_rank_scaled_udim():
     assert has_cycle_standard_rank(doubled, spec, base)
     lopsided = GenusVector(2, (("cyc.0", 1), ("cyc.1", 1), ("cyc.2", 1)))
     assert not has_cycle_standard_rank(lopsided, spec, base)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5])
+def test_integer_fields_reject_bools_and_fractions(bad):
+    with pytest.raises(InvalidSpecificationError):
+        Tower("F", "faithful", bad, (0,))
+    with pytest.raises(InvalidSpecificationError):
+        GenusVector(bad, ())
+    with pytest.raises(InvalidSpecificationError):
+        GenusVector(1, (("F.1", bad),))
+    with pytest.raises(InvalidSpecificationError):
+        Arc(0, bad)
+    with pytest.raises(InvalidSpecificationError):
+        Arc(bad, 1)
+    with pytest.raises(InvalidSpecificationError):
+        ArcModule(bad, ())
+    for progressions in ([(0, bad), (1, 1)], [(bad, 1), (0, 1)]):
+        with pytest.raises(InvalidSpecificationError):
+            disjoint_prefix_cover(2, progressions)
+    with pytest.raises(InvalidSpecificationError):
+        disjoint_prefix_cover(bad, [(0, 0)])
