@@ -25,7 +25,6 @@ from .chains import BUILTIN_NAMES, Chain, IdealLattice, builtin, composition_dis
 from .errors import FactorInvError
 from .factorize import (
     DEFAULT_FACTORIZATION_LIMIT,
-    INFINITE,
     Factorization,
     PresentedMonoid,
     delta_of_set,
@@ -61,7 +60,6 @@ __all__ = [
     "FinAbGroup",
     "GenusVector",
     "IdealLattice",
-    "INFINITE",
     "KrullMonoid",
     "PresentedMonoid",
     "Sequence",

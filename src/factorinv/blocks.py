@@ -59,9 +59,6 @@ class Sequence:
     def support(self) -> tuple[Element, ...]:
         return tuple(g for g, _ in self.counts)
 
-    def exponent_of(self, g: Element) -> int:
-        return dict(self.counts).get(g, 0)
-
     def elements(self) -> Iterator[Element]:
         for g, m in self.counts:
             for _ in range(m):
@@ -86,15 +83,6 @@ class Sequence:
             return False
         theirs = dict(other.counts)
         return all(theirs.get(g, 0) >= m for g, m in self.counts)
-
-    def quotient(self, other: "Sequence") -> "Sequence":
-        """Remove ``other`` from this multiset; ``other`` must divide it."""
-        if not other.divides(self):
-            raise InvalidElementError(f"{other} does not divide {self}")
-        counts = dict(self.counts)
-        for g, m in other.counts:
-            counts[g] -= m
-        return Sequence(self.group, tuple(sorted((g, m) for g, m in counts.items() if m)))
 
     def __str__(self) -> str:
         if not self.counts:

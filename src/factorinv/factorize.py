@@ -31,10 +31,6 @@ from .errors import (
 
 Vector = tuple[int, ...]
 
-#: Stands for a catenary degree with no finite bound.  The factorization
-#: graph of an element is complete, so no computation here returns it.
-INFINITE = float("inf")
-
 #: Cap on the number of factorizations enumerated for a single element.
 DEFAULT_FACTORIZATION_LIMIT = 1_000_000
 

@@ -22,6 +22,7 @@ from .errors import (
     FaithfulTowerError,
     InternalConsistencyError,
     InvalidSpecificationError,
+    NotAMemberError,
 )
 from .factorize import PresentedMonoid, Vector, _bottleneck
 from .towers import FAITHFUL, TowerSpec
@@ -160,6 +161,8 @@ class KrullMonoid(PresentedMonoid):
 
     def two_splits(self, seq: Sequence) -> list[tuple[Sequence, Sequence]]:
         """All ordered splits of a zero-sum sequence into two zero-sum parts."""
+        if seq.sum() != self.group.zero:
+            raise NotAMemberError(f"{seq} is not a zero-sum sequence")
         def sequence(counts):
             return Sequence.from_counts(self.group, dict(zip(seq.support, counts)))
 

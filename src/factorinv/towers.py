@@ -32,7 +32,7 @@ def disjoint_prefix_cover(n: int, progressions) -> list[int]:
     with m_i in [0, k_i + 1] and sum n such that the prefixes
     {a_i, ..., a_i + m_i - 1} are pairwise disjoint and cover Z/nZ.
 
-    The construction is recursive: while some progression is contained in
+    The construction is iterative: while some progression is contained in
     the union of the others, the redundant one of largest index is dropped
     (prefix size 0); once every progression has a private residue, each
     prefix extends to the last private residue of its progression.
@@ -46,52 +46,54 @@ def disjoint_prefix_cover(n: int, progressions) -> list[int]:
         if not _is_int(k) or k < 0:
             raise InvalidSpecificationError(f"progression length offset must be >= 0, got {k!r}")
         progs.append((a % n, k))
-    full = set(range(n))
-    sets = [{(a + j) % n for j in range(k + 1)} for a, k in progs]
-    covered = set().union(*sets) if sets else set()
-    if covered != full:
-        missed = min(full - covered)
-        raise NotACoveringError(f"residue {missed} mod {n} is not covered")
+    masks = [_run(n, a, k + 1) for a, k in progs]
+    _require_cover(n, masks, "residue {} mod {} is not covered")
 
-    m = [0] * len(progs)
     active = list(range(len(progs)))
     while True:
-        if len(active) == 1:
-            m[active[0]] = n
-            break
-        redundant = None
-        for i in reversed(active):
-            others = set().union(*(sets[j] for j in active if j != i))
-            if sets[i] <= others:
-                redundant = i
-                break
-        if redundant is not None:
-            active.remove(redundant)
-            continue
-        # every active progression has a private residue
+        once = twice = 0  # residues of one or more, and of two or more, active progressions
         for i in active:
-            a, k = progs[i]
-            others = set().union(*(sets[j] for j in active if j != i))
-            best = None
-            for step in range(k + 1):
-                if (a + step) % n not in others:
-                    best = step + 1
-            if best is None:
-                raise InternalConsistencyError("progression lost its private residue")
-            m[i] = best
-        break
+            twice |= once & masks[i]
+            once |= masks[i]
+        redundant = [i for i in active if not masks[i] & ~twice]
+        if not redundant:
+            break
+        active.remove(redundant[-1])
+    m = [0] * len(progs)
+    for i in active:
+        # bit j of the rotated private mask is residue a + j
+        m[i] = _rotate(n, masks[i] & ~twice, -progs[i][0]).bit_length()
 
     _check_prefix_cover(n, progs, m)
     return m
 
 
+def _rotate(n: int, mask: int, shift: int) -> int:
+    mask <<= shift % n
+    return (mask | mask >> n) & ((1 << n) - 1)
+
+
+def _run(n: int, a: int, size: int) -> int:
+    """The residues a, a+1, ..., a+size-1 mod n as an n-bit mask."""
+    return _rotate(n, (1 << min(size, n)) - 1, a)
+
+
+def _require_cover(n: int, masks, message: str):
+    """Raise NotACoveringError(message.format(r, n)) for the lowest residue r in no mask."""
+    missed = (1 << n) - 1
+    for mask in masks:
+        missed &= ~mask
+    if missed:
+        raise NotACoveringError(message.format((missed & -missed).bit_length() - 1, n))
+
+
 def _check_prefix_cover(n, progs, m):
-    seen: Counter = Counter()
-    for (a, _), size in zip(progs, m):
-        for j in range(size):
-            seen[(a + j) % n] += 1
-    if sum(m) != n or any(size < 0 or size > k + 1 for (_, k), size in zip(progs, m)) \
-            or set(seen) != set(range(n)) or any(c != 1 for c in seen.values()):
+    union = 0
+    for (a, k), size in zip(progs, m):
+        if not 0 <= size <= k + 1 or union & (prefix := _run(n, a, size)):
+            raise InternalConsistencyError(f"prefix selection {m} is not a partition of Z/{n}Z")
+        union |= prefix
+    if sum(m) != n or union != (1 << n) - 1:
         raise InternalConsistencyError(f"prefix selection {m} is not a partition of Z/{n}Z")
 
 
@@ -196,11 +198,9 @@ def full_cycle_quotient(module: ArcModule) -> ArcModule:
 
 
 def _require_covering(module: ArcModule):
-    missing = set(range(module.cycle_length)) - set(module.class_vector())
-    if missing:
-        raise NotACoveringError(
-            f"class vector misses residue {min(missing)} mod {module.cycle_length}"
-        )
+    n = module.cycle_length
+    masks = [_run(n, arc.bottom - (arc.length - 1), arc.length) for arc in module.arcs]
+    _require_cover(n, masks, "class vector misses residue {} mod {}")
 
 
 # -- towers and genus vectors -------------------------------------------------

@@ -18,6 +18,7 @@ from factorinv.errors import (
     IncomparableError,
     LabelMultisetError,
     NonPrincipalBoundError,
+    NotACoveringError,
 )
 
 
@@ -224,6 +225,40 @@ def prefix_tuple_solutions(n: int, progressions) -> list[tuple[int, ...]]:
 
     scan(0, 0, 0, [])
     return solutions
+
+
+def set_prefix_cover(n: int, progressions) -> list[int]:
+    """Prefix sizes of the disjoint-prefix covering lemma on Python sets of
+    residues: drop the largest-index progression contained in the union of
+    the other active ones until each has a private residue, then extend
+    each prefix to its last private residue.  Raises
+    :class:`NotACoveringError` naming the lowest uncovered residue."""
+    progs = [(a % n, k) for a, k in progressions]
+    full = set(range(n))
+    sets = [{(a + j) % n for j in range(k + 1)} for a, k in progs]
+    covered = set().union(*sets)
+    if covered != full:
+        raise NotACoveringError(f"residue {min(full - covered)} mod {n} is not covered")
+    m = [0] * len(progs)
+    active = list(range(len(progs)))
+    while len(active) > 1:
+        redundant = None
+        for i in reversed(active):
+            others = set().union(*(sets[j] for j in active if j != i))
+            if sets[i] <= others:
+                redundant = i
+                break
+        if redundant is None:
+            break
+        active.remove(redundant)
+    if len(active) == 1:
+        m[active[0]] = n
+        return m
+    for i in active:
+        a, k = progs[i]
+        others = set().union(*(sets[j] for j in active if j != i))
+        m[i] = max(step + 1 for step in range(k + 1) if (a + step) % n not in others)
+    return m
 
 
 class ExhaustiveLattice:

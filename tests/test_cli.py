@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -426,3 +427,30 @@ def test_blocks_atoms_of_a_long_cyclic_atom():
     code, out = capture(["blocks", "atoms", "--orders", "1200", "--subset", "[[1]]"])
     assert code == 0
     assert "atom  1^1200  length 1200" in out
+
+
+def timed_capture(argv):
+    start = time.perf_counter()
+    code, out = capture(argv)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1, f"took {elapsed:.2f}s"
+    return code, out
+
+
+def test_towers_comb_large_n_not_covering_is_one_error_line(capsys):
+    code, out = timed_capture(["towers", "comb", "--n", "4000000", "--arcs", "0:3"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == "error: residue 4 mod 4000000 is not covered\n"
+
+
+def test_towers_comb_large_n_two_halves():
+    code, out = timed_capture(["towers", "comb", "--n", "4000000", "--arcs", "0:1999999,2000000:1999999"])
+    assert code == 0
+    assert "prefix_sizes: [2000000, 2000000]" in out
+
+
+def test_towers_submodule_of_a_long_arc():
+    doc = {"cycle_length": 3, "arcs": [{"bottom": 0, "length": 5_000_000}]}
+    code, out = timed_capture(["towers", "submodule", "--inline", json.dumps(doc), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["submodule"]["arcs"] == [{"bottom": 0, "length": 3}]

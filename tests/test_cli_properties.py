@@ -76,7 +76,7 @@ OPTION_VALUES = {
     "--subset": dumped(values) | text("nonzero", "all", "[[1]]"),
     "--sequence": dumped(values) | st.sampled_from(["[[1],[1]]", "[[1],[2]]", "[[1,1],[1,1]]"]),
     "--bound": st.integers(-2, 4).map(str) | st.just("x"),
-    "--n": st.integers(-1, 6).map(str),
+    "--n": st.integers(-1, 6).map(str) | st.sampled_from(["1000000", "4000000"]),
     "--arcs": text("0:1,2:1", "0:3", "1:0,0:1"),
     "--genus": genus | dumped(values) | st.sampled_from(['{"udim": 1, "ranks": {"T.0": 1}}', "{"]),
     "--simple": st.sampled_from(["T.0", "T.1", "T.2", "F.0", "S.0", "x", ""]),

@@ -115,6 +115,14 @@ def test_beta_not_a_member():
         H.beta((1, 0))
 
 
+def test_two_splits_rejects_a_sequence_that_is_not_zero_sum():
+    G = make_group([3])
+    H = make_krull(G, ["p", "q"], {"p": (1,), "q": (2,)})
+    with pytest.raises(NotAMemberError):
+        H.two_splits(Sequence.from_counts(G, {(1,): 2}))
+    assert len(H.two_splits(Sequence.from_counts(G, {(1,): 3}))) == 2
+
+
 def test_membership_closed_under_quotients():
     # y <= x componentwise with both members means x - y is a member
     rng = random.Random(8)

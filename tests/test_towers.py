@@ -6,11 +6,13 @@ import pytest
 
 from factorinv.abelian import make_group
 from factorinv.errors import (
+    InternalConsistencyError,
     InvalidSpecificationError,
     InvalidStepError,
     NotACoveringError,
 )
 from factorinv.towers import (
+    _check_prefix_cover,
     Arc,
     ArcModule,
     GenusVector,
@@ -24,7 +26,7 @@ from factorinv.towers import (
     standard_genus,
 )
 
-from oracles import prefix_tuple_solutions
+from oracles import prefix_tuple_solutions, set_prefix_cover
 
 
 def check_prefix_solution(n, progressions, sizes):
@@ -74,6 +76,63 @@ def test_prefix_cover_exhaustive_small():
                     assert not solutions
                     with pytest.raises(NotACoveringError):
                         disjoint_prefix_cover(n, list(progressions))
+
+
+def random_progressions(rng, n):
+    """1-6 progressions on Z/nZ: either cut points around the circle, each
+    run stretched or shrunk by a little so that some cover and some do not,
+    or runs of random length; one in twenty has k >= n."""
+    l = rng.randint(1, 6)
+    if rng.random() < 0.5:
+        cuts = sorted(rng.sample(range(n), min(l, n)))
+        gaps = [(cuts[(i + 1) % len(cuts)] - c) % n or n for i, c in enumerate(cuts)]
+        progressions = [(c, max(0, gap - 1 + rng.randint(-1, 3))) for c, gap in zip(cuts, gaps)]
+        rng.shuffle(progressions)
+    else:
+        progressions = [(rng.randrange(n), rng.randrange(2 * n // l + 1)) for _ in range(l)]
+    return [
+        (a + n * rng.randint(-2, 2), n + rng.randrange(n + 1) if rng.random() < 1 / 20 else k)
+        for a, k in progressions
+    ]
+
+
+def test_prefix_cover_matches_the_set_based_reference():
+    rng = random.Random(7)
+    outcomes = Counter()
+    for _ in range(2000):
+        n = rng.randint(1, 300)
+        progressions = random_progressions(rng, n)
+        try:
+            expected = set_prefix_cover(n, progressions)
+        except NotACoveringError as exc:
+            with pytest.raises(NotACoveringError) as got:
+                disjoint_prefix_cover(n, progressions)
+            assert str(got.value) == str(exc)
+            outcomes["missed"] += 1
+            continue
+        sizes = disjoint_prefix_cover(n, progressions)
+        assert sizes == expected, (n, progressions)
+        check_prefix_solution(n, [(a % n, k) for a, k in progressions], sizes)
+        outcomes["covered"] += 1
+        outcomes["long"] += any(k >= n for _, k in progressions)
+        outcomes["split"] += sum(size > 0 for size in sizes) > 1
+    assert min(outcomes.values()) >= 200, outcomes
+
+
+@pytest.mark.parametrize(
+    "progs,sizes",
+    [
+        ([(0, 2), (1, 2)], [2, 2]),  # residue 1 in both prefixes
+        ([(0, 1), (3, 0)], [3, 1]),  # a partition, but 3 > k + 1
+        ([(0, 4), (0, 3)], [5, -1]),  # a negative size; the sizes still sum to n
+        ([(0, 1), (2, 1)], [2, 1]),  # residue 3 in no prefix
+    ],
+    ids=["overlap", "above-k-plus-1", "negative", "short"],
+)
+def test_prefix_cover_self_check_rejects_non_partitions(progs, sizes):
+    with pytest.raises(InternalConsistencyError):
+        _check_prefix_cover(4, progs, sizes)
+    _check_prefix_cover(4, [(0, 1), (2, 1)], [2, 2])
 
 
 def test_arc_module_class_vector():
