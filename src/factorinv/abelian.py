@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd, prod
+from operator import mul
 
 from .errors import InvalidElementError, InvalidSpecificationError
 
@@ -142,6 +143,15 @@ def make_group(orders) -> FinAbGroup:
 def _is_int(x) -> bool:
     """Whether ``x`` is an integer and not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _zero_sum_test(group: FinAbGroup, classes):
+    """Whether a count vector over ``classes`` has class sum zero.
+
+    The test closes over tuples only, so a monoid that holds it makes no
+    reference cycle."""
+    columns = tuple(zip(group.orders, zip(*classes)))
+    return lambda v: not any(sum(map(mul, column, v)) % n for n, column in columns)
 
 
 def _tables(group: FinAbGroup, letters):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .abelian import Element, FinAbGroup, _is_int, _tables, _translate
+from .abelian import Element, FinAbGroup, _is_int, _tables, _translate, _zero_sum_test
 from .errors import InvalidElementError, InvalidSpecificationError
 from .factorize import PresentedMonoid, _evaluate, _zero_sum_vectors
 
@@ -132,11 +132,7 @@ class BlockMonoid:
         if not subset:
             raise InvalidSpecificationError("the subset G0 must be nonempty")
         self.subset = subset
-        orders = group.orders
-        # closes over tuples, not self: the presented form makes no cycle
-        self._vector_is_zero_sum = lambda v: not any(
-            sum(m * g[i] for g, m in zip(subset, v)) % n for i, n in enumerate(orders)
-        )
+        self._vector_is_zero_sum = _zero_sum_test(group, subset)
         self._presented: PresentedMonoid | None = None
 
     # -- conversions -------------------------------------------------------
@@ -147,6 +143,8 @@ class BlockMonoid:
         return seq
 
     def _check_support(self, seq: Sequence) -> Sequence:
+        if seq.group != self.group:
+            raise InvalidElementError("sequences live over different groups")
         for g in seq.support:
             if g not in self.subset:
                 raise InvalidElementError(f"{g!r} lies outside the allowed subset")
@@ -171,40 +169,17 @@ class BlockMonoid:
             self._presented = PresentedMonoid(
                 alphabet=self.subset,
                 membership=self._vector_is_zero_sum,
-                atoms=sorted(self._atom_vectors()),
+                atoms=sorted(_atom_vectors(self.group, self.subset)),
                 grading=(self.group, self.subset),
             )
         return self._presented
 
     def atoms(self) -> tuple[Sequence, ...]:
         """All minimal zero-sum sequences over the subset, sorted."""
-        vectors = sorted(self._atom_vectors(), key=lambda v: [(s, m) for s, m in enumerate(v) if m])
+        vectors = sorted(
+            _atom_vectors(self.group, self.subset), key=lambda v: [(s, m) for s, m in enumerate(v) if m]
+        )
         return tuple(self._sequence(v) for v in vectors)
-
-    def _atom_vectors(self) -> Iterator[tuple[int, ...]]:
-        """Count vectors over the subset of the minimal zero-sum sequences.
-
-        S·(−σ(S)) is a minimal zero-sum sequence exactly when S is
-        zero-sum-free, so every atom is its word minus the last letter,
-        closed by −σ of that prefix.  An explicit stack walks the zero-sum-free
-        words with nondecreasing subset slots, each with the bitmask of its
-        nonempty subsequence sums; a word is closed when −σ lies in the
-        subset at a slot no smaller than its last one.
-        """
-        width = len(self.subset)
-        neg, rows = _tables(self.group, self.subset)
-        slot_of = {row[0]: s for s, row in enumerate(rows)}
-        # (least slot that may follow, subsequence sums, index of the sum, counts)
-        stack = [(0, 0, 0, (0,) * width)]
-        while stack:
-            start, sums, total, counts = stack.pop()
-            close = slot_of.get(neg[total])
-            if close is not None and close >= start:
-                yield counts[:close] + (counts[close] + 1,) + counts[close + 1:]
-            for s in range(start, width):
-                grown = _grow(sums, rows[s])
-                if not grown & 1:
-                    stack.append((s, grown, rows[s][total], counts[:s] + (counts[s] + 1,) + counts[s + 1:]))
 
     def _sequence(self, vector) -> Sequence:
         """The sequence of a trusted count vector over the subset."""
@@ -228,6 +203,35 @@ class BlockMonoid:
 def minimal_zero_sum_sequences(group: FinAbGroup, subset=None) -> tuple[Sequence, ...]:
     """Atoms of the monoid of zero-sum sequences over ``subset`` (default: all of G)."""
     return BlockMonoid(group, subset).atoms()
+
+
+def _atom_vectors(group: FinAbGroup, letters) -> Iterator[tuple[int, ...]]:
+    """Count vectors over ``letters`` of the minimal zero-sum words, each once.
+
+    Letters are elements of ``group`` and may share a class.  S·g is a
+    minimal zero-sum word exactly when S is zero-sum-free and g = −σ(S), so
+    every atom is its sorted word minus the last letter, closed by that
+    letter.  An explicit stack walks the zero-sum-free words with
+    nondecreasing slots, each with the bitmask of its nonempty subsequence
+    sums; a word whose last slot is t is closed by every letter of class
+    −σ at a slot no smaller than t.
+    """
+    width = len(letters)
+    neg, rows = _tables(group, letters)
+    closers: dict[int, list[int]] = {}  # index of a class -> its slots, ascending
+    for s, row in enumerate(rows):
+        closers.setdefault(row[0], []).append(s)
+    # (least slot that may follow, subsequence sums, index of the sum, counts)
+    stack = [(0, 0, 0, (0,) * width)]
+    while stack:
+        start, sums, total, counts = stack.pop()
+        for close in closers.get(neg[total], ()):
+            if close >= start:
+                yield counts[:close] + (counts[close] + 1,) + counts[close + 1:]
+        for s in range(start, width):
+            grown = _grow(sums, rows[s])
+            if not grown & 1:
+                stack.append((s, grown, rows[s][total], counts[:s] + (counts[s] + 1,) + counts[s + 1:]))
 
 
 def davenport(group: FinAbGroup) -> int:

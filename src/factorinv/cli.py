@@ -372,6 +372,9 @@ def run(argv=None, out=None) -> int:
     except (CliUsageError, FactorInvError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     _render(args.command, fields, args.format, out)
     return code
 

@@ -6,21 +6,24 @@ Members are exponent vectors over the primes whose class-weighted sum
 vanishes.  Replacing each prime occurrence by its class is a length-
 preserving monoid homomorphism onto the zero-sum sequences over the set of
 occupied classes; block-level factorizations lift back by assigning primes
-of the right class to each block.
+of the right class to each block.  So the atoms are the minimal zero-sum
+words over the primes, each read through its class, and they come from the
+same zero-sum-free walk as the block atoms.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
-from .abelian import FinAbGroup
-from .blocks import BlockMonoid, Sequence
+from .abelian import FinAbGroup, _zero_sum_test
+from .blocks import BlockMonoid, Sequence, _atom_vectors
 from .errors import (
     FaithfulTowerError,
     InternalConsistencyError,
+    InvalidElementError,
     InvalidSpecificationError,
     NotAMemberError,
 )
@@ -52,10 +55,9 @@ class KrullMonoid(PresentedMonoid):
         for i, slot in enumerate(self._slot):
             self._slot_primes[slot].append(i)
         self._blocks = BlockMonoid(group, self.image_classes)
-        # the image map and the membership test close over the slot map and
-        # the block test, not self: a dropped monoid makes no reference cycle
+        # the image map closes over the slot map, not self: a dropped monoid
+        # makes no reference cycle
         slots, width = self._slot, len(self.image_classes)
-        is_zero_sum = self._blocks._vector_is_zero_sum
 
         def image(v: Vector) -> Vector:
             """Class counts of a trusted exponent vector, over ``image_classes``."""
@@ -65,11 +67,12 @@ class KrullMonoid(PresentedMonoid):
             return tuple(counts)
 
         self._image = image
+        classes = tuple(self.classes[p] for p in self.primes)
         super().__init__(
             alphabet=self.primes,
-            membership=lambda v: is_zero_sum(image(v)),
-            atoms=self._compute_atoms(),
-            grading=(group, [self.classes[p] for p in self.primes]),
+            membership=_zero_sum_test(group, classes),
+            atoms=sorted(_atom_vectors(group, classes)),
+            grading=(group, classes),
         )
         self._atom_images = tuple(self._image(a) for a in self.atoms)
 
@@ -83,27 +86,6 @@ class KrullMonoid(PresentedMonoid):
         except (KeyError, TypeError) as exc:
             raise InvalidSpecificationError(f"malformed Krull monoid document: {doc!r}") from exc
         return cls(group, primes, class_map)
-
-    def _compute_atoms(self) -> list[Vector]:
-        """Atoms are exactly the prime-level realizations of the minimal
-        zero-sum sequences over the image classes."""
-        atoms = []
-        for block_atom in self._blocks._atom_vectors():
-            choices = [
-                [
-                    Counter(combo)
-                    for combo in itertools.combinations_with_replacement(self._slot_primes[slot], mult)
-                ]
-                for slot, mult in enumerate(block_atom)
-                if mult
-            ]
-            for picks in itertools.product(*choices):
-                vec = [0] * len(self.primes)
-                for counter in picks:
-                    for idx, mult in counter.items():
-                        vec[idx] += mult
-                atoms.append(tuple(vec))
-        return sorted(set(atoms))
 
     # -- the transfer map --------------------------------------------------
 
@@ -161,6 +143,8 @@ class KrullMonoid(PresentedMonoid):
 
     def two_splits(self, seq: Sequence) -> list[tuple[Sequence, Sequence]]:
         """All ordered splits of a zero-sum sequence into two zero-sum parts."""
+        if seq.group != self.group:
+            raise InvalidElementError("sequences live over different groups")
         if seq.sum() != self.group.zero:
             raise NotAMemberError(f"{seq} is not a zero-sum sequence")
         def sequence(counts):
@@ -172,16 +156,12 @@ class KrullMonoid(PresentedMonoid):
     def _two_splits(self, classes, counts) -> list[tuple[Vector, Vector]]:
         """(sub, counts - sub) for every zero-sum sub-count vector of
         ``counts`` over ``classes``, in lexicographic order of ``sub``."""
-        orders = self.group.orders
-        splits = []
-        for sub in itertools.product(*(range(m + 1) for m in counts)):
-            if any(
-                sum(k * g[i] for g, k in zip(classes, sub)) % n
-                for i, n in enumerate(orders)
-            ):
-                continue
-            splits.append((sub, tuple(m - k for m, k in zip(counts, sub))))
-        return splits
+        is_zero_sum = _zero_sum_test(self.group, classes)
+        return [
+            (sub, tuple(m - k for m, k in zip(counts, sub)))
+            for sub in itertools.product(*(range(m + 1) for m in counts))
+            if is_zero_sum(sub)
+        ]
 
     def verify_transfer(self, size_bound: int) -> "TransferReport":
         """Exhaustively check the transfer properties up to a size bound.

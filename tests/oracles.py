@@ -194,6 +194,29 @@ def first_fit_lift(monoid, v, blocks) -> list[tuple[int, ...]]:
     return pieces
 
 
+def krull_atoms_by_expansion(monoid) -> list[tuple[int, ...]]:
+    """Atoms of a Krull monoid, sorted: every choice of primes of the right
+    classes for every minimal zero-sum sequence over the occupied classes
+    (from the brute-force enumeration), deduplicated."""
+    class_primes = {
+        g: [i for i, p in enumerate(monoid.primes) if monoid.classes[p] == g]
+        for g in monoid.image_classes
+    }
+    atoms = set()
+    for block_atom in minimal_zero_sum_brute(monoid.group, monoid.image_classes):
+        choices = [
+            [Counter(combo) for combo in itertools.combinations_with_replacement(class_primes[g], m)]
+            for g, m in block_atom.items()
+        ]
+        for picks in itertools.product(*choices):
+            vec = [0] * len(monoid.primes)
+            for counter in picks:
+                for idx, mult in counter.items():
+                    vec[idx] += mult
+            atoms.add(tuple(vec))
+    return sorted(atoms)
+
+
 def prefix_tuple_solutions(n: int, progressions) -> list[tuple[int, ...]]:
     """All prefix-size tuples (m_i in [0, k_i + 1], sum n) whose prefixes are
     pairwise disjoint and cover Z/nZ, by scanning every candidate tuple."""

@@ -58,6 +58,12 @@ def test_sequence_support_validation():
         B.sequence([(0,)])
 
 
+def test_vector_of_rejects_a_sequence_over_another_group():
+    B = BlockMonoid(make_group([2]))
+    with pytest.raises(InvalidElementError, match="different groups"):
+        B.vector_of(Sequence.from_counts(make_group([4]), {(1,): 3}))
+
+
 def test_atoms_zero_alone():
     G = make_group([4])
     B = BlockMonoid(G, [(0,)])

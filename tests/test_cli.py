@@ -1,6 +1,11 @@
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -454,3 +459,19 @@ def test_towers_submodule_of_a_long_arc():
     code, out = timed_capture(["towers", "submodule", "--inline", json.dumps(doc), "--format", "json"])
     assert code == 0
     assert json.loads(out)["submodule"]["arcs"] == [{"bottom": 0, "length": 3}]
+
+
+def test_out_of_memory_is_one_error_line():
+    # each n-bit residue mask at n = 10^10 needs 1.25 GB, so under a 400 MB
+    # address-space limit (set in the child only) the cover runs out of memory
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["towers", "comb", "--n", "10000000000", "--arcs", "0:3"]
+    result = subprocess.run(
+        [sys.executable, "-m", "factorinv.cli", *argv], env=env, capture_output=True,
+        text=True, timeout=120, preexec_fn=limit_address_space,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: out of memory\n")

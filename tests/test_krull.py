@@ -5,9 +5,10 @@ from math import prod
 import pytest
 
 from factorinv.abelian import make_group
-from factorinv.blocks import Sequence
+from factorinv.blocks import Sequence, _atom_vectors
 from factorinv.errors import (
     FaithfulTowerError,
+    InvalidElementError,
     InvalidSpecificationError,
     NotAMemberError,
 )
@@ -15,7 +16,8 @@ from factorinv.factorize import Factorization
 from factorinv.krull import KrullMonoid, make_krull, synth_hnp
 from factorinv.towers import Tower, TowerSpec
 
-from oracles import catenary_minimax, first_fit_lift, naive_factorizations
+from conftest import abelian_groups_up_to
+from oracles import catenary_minimax, first_fit_lift, krull_atoms_by_expansion, naive_factorizations
 from test_acceptance import krull_batch
 
 
@@ -121,6 +123,31 @@ def test_two_splits_rejects_a_sequence_that_is_not_zero_sum():
     with pytest.raises(NotAMemberError):
         H.two_splits(Sequence.from_counts(G, {(1,): 2}))
     assert len(H.two_splits(Sequence.from_counts(G, {(1,): 3}))) == 2
+
+
+def test_two_splits_rejects_a_sequence_over_another_group():
+    H = c2_monoid()
+    with pytest.raises(InvalidElementError, match="different groups"):
+        H.two_splits(Sequence.from_counts(make_group([4]), {(1,): 4}))
+
+
+def test_krull_atoms_equal_the_expansion_of_the_block_atoms():
+    rng = random.Random(29)
+    groups = [make_group(orders) for orders in abelian_groups_up_to(9)]
+    monoids = list(krull_batch())
+    for _ in range(300):
+        G = rng.choice(groups)
+        # a small pool of classes, so that primes often share a class
+        pool = rng.sample(G.elements(), rng.randint(1, G.cardinality))
+        cmap = {f"p{i:02d}": rng.choice(pool) for i in range(rng.randint(1, 12))}
+        monoids.append(make_krull(G, sorted(cmap), cmap))
+    assert sum(len(H.image_classes) < len(H.primes) for H in monoids) >= 200
+    assert sum(H.group.zero in H.image_classes for H in monoids) >= 50
+    assert sum(H.group.cardinality == 1 for H in monoids) >= 10
+    for H in monoids:
+        assert H.atoms == tuple(krull_atoms_by_expansion(H)), H.classes
+        vectors = list(_atom_vectors(H.group, [H.classes[p] for p in H.primes]))
+        assert len(vectors) == len(set(vectors)) == len(H.atoms)
 
 
 def test_membership_closed_under_quotients():
