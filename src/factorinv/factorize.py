@@ -1,15 +1,14 @@
 """Factorization engine for reduced atomic commutative monoids.
 
-A monoid is presented by a finite alphabet of prime labels, a membership
-predicate on exponent vectors, and an explicit finite atom set.  In the
-reduced commutative case a factorization is just a multiset of atoms, so the
-engine computes sets of lengths, distance sets, permutable distances,
-elasticities, and catenary degrees by scanning the members of bounded
-1-norm.  A monoid with a zero-sum grading (block and Krull monoids) walks
-its members only; any other tests every composition.  The catenary degree
-of a scan comes from its Betti elements, with no factorization listed; that
-of one element, and of a fiber, is the Prim bottleneck of its
-factorizations.
+A monoid is given by a finite alphabet of prime labels, a membership
+predicate on exponent vectors and its finite atom set; a factorization is a
+multiset of atoms.  Length sets (int bitmasks), distance sets, elasticities
+and catenary degrees come from scanning members of bounded 1-norm, which a
+zero-sum grading (block and Krull monoids) walks directly; otherwise every
+composition is tested.  One table per monoid, per letter and value, ANDs to
+the atoms dividing a vector, for quotients, atom validation and the catenary
+degree of a scan from its Betti elements; that of one element, or of a
+fiber, is the Prim bottleneck of its factorizations.
 
 Public methods validate their input once; internal scans work on trusted
 int count vectors with explicit stacks, so no element meets a recursion limit.
@@ -18,7 +17,7 @@ int count vectors with explicit stacks, so no element meets a recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterator, Optional
 
 from .abelian import _is_int, _tables, _translate
@@ -117,16 +116,15 @@ class PresentedMonoid:
                 raise InvalidSpecificationError("a grading needs one class per letter")
             self._grading, self._scan_test = _tables(group, classes), None
         self.atoms = tuple(tuple(a) for a in atoms)
-        self._sparse = tuple(tuple((i, x) for i, x in enumerate(a) if x) for a in self.atoms)
         self._validate_atoms()
         self._fact_cache: dict[tuple[Vector, int], tuple] = {}
-        self._lenset_cache: dict[Vector, frozenset[int]] = {}
+        # length sets are bitmasks, bit l set for length l; the zero vector has length 0
+        self._lenset_cache: dict[Vector, int] = {(0,) * len(self.alphabet): 1}
 
     def _validate_atoms(self):
-        width = len(self.alphabet)
         seen = set()
         for a in self.atoms:
-            if len(a) != width or any(x < 0 for x in a):
+            if not self._is_vector(a):
                 raise InvalidSpecificationError(f"bad atom vector {a!r}")
             if not any(a):
                 raise InvalidSpecificationError("atoms must be nonzero")
@@ -135,22 +133,34 @@ class PresentedMonoid:
             if a in seen:
                 raise InvalidSpecificationError(f"duplicate atom {a!r}")
             seen.add(a)
-        # distinct atoms of equal 1-norm cannot divide each other
-        ranked = sorted(zip(map(sum, self.atoms), self.atoms, self._sparse))
-        for j, (norm, b, _) in enumerate(ranked):
-            for smaller, a, support in ranked[:j]:
-                if smaller < norm and all(b[i] >= x for i, x in support):
-                    raise InvalidSpecificationError(f"atom {a!r} divides atom {b!r}")
+        self._divides = []  # per letter, value x up to its largest entry: the atoms with entry <= x
+        for column in zip(*self.atoms):
+            exact = [0] * (1 + max(column))
+            for j, x in enumerate(column):
+                exact[x] |= 1 << j
+            below = 0
+            self._divides.append([below := below | bits for bits in exact])
+        # name the first divided atom b, and its least divider a, by (1-norm, vector)
+        for _, b, j in sorted((sum(b), b, j) for j, b in enumerate(self.atoms)):
+            if others := self._dividing(b) ^ 1 << j:
+                _, a = min((sum(a), a) for k, a in enumerate(self.atoms) if others >> k & 1)
+                raise InvalidSpecificationError(f"atom {a!r} divides atom {b!r}")
+
+    def _dividing(self, v: Vector) -> int:
+        """Bitmask of the atoms dividing the trusted vector ``v``."""
+        mask = -1 if self._divides else 0  # no table: no atoms
+        for row, x in zip(self._divides, v):
+            mask &= row[x] if x < len(row) else row[-1]
+        return mask
 
     # -- element handling ------------------------------------------------
 
+    def _is_vector(self, v: tuple) -> bool:
+        return len(v) == len(self.alphabet) and all(_is_int(x) and x >= 0 for x in v)
+
     def contains(self, v) -> bool:
         v = tuple(v)
-        return (
-            len(v) == len(self.alphabet)
-            and all(_is_int(x) and x >= 0 for x in v)
-            and bool(self.membership(v))
-        )
+        return self._is_vector(v) and bool(self.membership(v))
 
     def check_member(self, v) -> Vector:
         v = tuple(v)
@@ -231,33 +241,29 @@ class PresentedMonoid:
         Computed by a memoized walk over atoms (keyed on the exponent
         vector), which agrees with the lengths of :meth:`factorizations`.
         """
-        v = self.check_member(v)
-        return tuple(sorted(self._length_set(v)))
+        return _lengths(self._length_set(self.check_member(v)))
 
-    def _length_set(self, v: Vector) -> frozenset[int]:
-        if not any(v):
-            return frozenset({0})
+    def _length_set(self, v: Vector) -> int:
+        """Bitmask of the lengths of a trusted member (see ``_lenset_cache``)."""
 
         def combine(steps):
-            return frozenset(l + 1 for _, lengths in steps for l in lengths)
+            out = 0
+            for _, lengths in steps:
+                out |= lengths
+            return out << 1
 
-        return _evaluate(
-            v, self._lenset_cache, lambda u: self._quotients(u, 0), combine, frozenset({0})
-        )
+        return _evaluate(v, self._lenset_cache, lambda u: self._quotients(u, 0), combine, 1)
 
     def _quotients(self, v: Vector, start: int) -> list:
-        """(j, v - atom j) for every atom j >= ``start`` dividing ``v``, the
-        quotient None when it is the zero vector."""
+        """(j, v - atom j) for each atom j >= ``start`` dividing ``v``; None for a zero quotient."""
         out = []
-        for j, atom in enumerate(self._sparse[start:], start):
-            for i, x in atom:
-                if v[i] < x:
-                    break
-            else:
-                rest = list(v)
-                for i, x in atom:
-                    rest[i] -= x
-                out.append((j, tuple(rest) if any(rest) else None))
+        mask = self._dividing(v) >> start
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = start + low.bit_length() - 1
+            rest = tuple(map(sub, v, self.atoms[j]))
+            out.append((j, rest if any(rest) else None))
         return out
 
     # -- distances and catenary degrees ----------------------------------
@@ -299,26 +305,15 @@ class PresentedMonoid:
         its least length and its dividing atoms, an int bitmask (the AND of
         per-letter masks).  0 when no member has two classes.
         """
-        base = size_bound + 1
-        weights = [base**i for i in range(len(self.alphabet))]
-        # per letter i and value x: the atoms whose i-th entry is <= x
-        divides = [[0] * base for _ in self.alphabet]
-        code_of = {}  # atom bit -> the atom's code, its base-``base`` value
-        for j, (atom, sparse) in enumerate(zip(self.atoms, self._sparse)):
-            bit = 1 << j
-            code_of[bit] = sum(x * weights[i] for i, x in sparse)
-            for i, x in enumerate(atom):
-                for y in range(x, base):
-                    divides[i][y] |= bit
+        weights = [(size_bound + 1) ** i for i in range(len(self.alphabet))]
+        # atom bit -> the atom's code, its value in base size_bound + 1
+        code_of = {1 << j: sum(map(mul, atom, weights)) for j, atom in enumerate(self.atoms)}
         least: dict[int, int] = {}  # member code -> least factorization length
         dividing: dict[int, int] = {}  # member code -> bitmask of the atoms dividing it
         worst = 0
         for v in self.elements(size_bound):
             code = sum(map(mul, v, weights))
-            mask = -1
-            for row, x in zip(divides, v):
-                mask &= row[x]
-            dividing[code] = mask
+            mask = dividing[code] = self._dividing(v)
             # per dividing atom a: 1 + the least length of v - a, and the atoms dividing v - a
             shortest, links = {}, {}
             rest = mask
@@ -349,7 +344,7 @@ class PresentedMonoid:
         """Union of successive-gap sets over members of 1-norm <= size_bound."""
         out: set[int] = set()
         for v in self.elements(size_bound):
-            out.update(delta_of_set(self._length_set(v)))
+            out.update(delta_of_set(_lengths(self._length_set(v))))
         return tuple(sorted(out))
 
     def rho2(self, size_bound: int) -> int:
@@ -362,7 +357,7 @@ class PresentedMonoid:
             for b in self.atoms[i:]:
                 v = tuple(x + y for x, y in zip(a, b))
                 if sum(v) <= size_bound:
-                    best = max(best, max(self._length_set(v)))
+                    best = max(best, self._length_set(v).bit_length() - 1)
         return best
 
     def half_factorial(self, size_bound: int):
@@ -374,9 +369,14 @@ class PresentedMonoid:
         """
         for v in self.elements(size_bound):
             lengths = self._length_set(v)
-            if len(lengths) > 1:
-                return False, (v, tuple(sorted(lengths)))
+            if lengths & (lengths - 1):
+                return False, (v, _lengths(lengths))
         return True, None
+
+
+def _lengths(mask: int) -> tuple[int, ...]:
+    """The lengths in a length-set bitmask, ascending."""
+    return tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
 
 
 def _evaluate(root, cache, children, combine, empty):

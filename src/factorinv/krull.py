@@ -27,7 +27,7 @@ from .errors import (
     InvalidSpecificationError,
     NotAMemberError,
 )
-from .factorize import PresentedMonoid, Vector, _bottleneck
+from .factorize import PresentedMonoid, Vector, _bottleneck, _lengths
 from .towers import FAITHFUL, TowerSpec
 
 
@@ -191,7 +191,7 @@ class KrullMonoid(PresentedMonoid):
             if mine != theirs:
                 return TransferReport(
                     False, elements, splits,
-                    f"length sets differ at {v}: {tuple(sorted(mine))} vs {tuple(sorted(theirs))}",
+                    f"length sets differ at {v}: {_lengths(mine)} vs {_lengths(theirs)}",
                 )
             if image not in split_cache:
                 split_cache[image] = self._two_splits(self.image_classes, image)

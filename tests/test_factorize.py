@@ -17,6 +17,7 @@ from factorinv.factorize import (
     delta_of_set,
     permutable_distance,
 )
+from factorinv.krull import make_krull
 
 from oracles import catenary_minimax, naive_factorizations, naive_length_set
 
@@ -32,12 +33,59 @@ def fac_key(z: Factorization):
 
 
 def test_presented_monoid_rejects_bad_atoms():
-    with pytest.raises(InvalidSpecificationError):
-        PresentedMonoid(["a"], lambda v: True, [(0,)])  # zero atom
-    with pytest.raises(InvalidSpecificationError):
-        PresentedMonoid(["a"], lambda v: True, [(1,), (2,)])  # (1) divides (2)
-    with pytest.raises(InvalidSpecificationError):
-        PresentedMonoid(["a"], lambda v: v[0] % 2 == 0, [(1,)])  # fails membership
+    def anything(v):
+        return True
+
+    cases = [
+        (["a", "b"], anything, [(1,)], "bad atom vector (1,)"),
+        (["a"], anything, [(-1,)], "bad atom vector (-1,)"),
+        (["a"], anything, [(2.0,)], "bad atom vector (2.0,)"),
+        (["a"], anything, [(1.5,)], "bad atom vector (1.5,)"),
+        (["a"], anything, [(True,)], "bad atom vector (True,)"),
+        (["a"], anything, [(0,)], "atoms must be nonzero"),
+        (["a"], lambda v: v[0] % 2 == 0, [(1,)], "atom (1,) fails membership"),
+        (["a"], anything, [(2,), (3,), (2,)], "duplicate atom (2,)"),
+        (["a"], anything, [(1,), (2,)], "atom (1,) divides atom (2,)"),
+        # the first divided atom, and its least divider, by (1-norm, vector)
+        (["a", "b"], anything, [(2, 1), (1, 1), (1, 0), (0, 1)], "atom (0, 1) divides atom (1, 1)"),
+        (["a", "b"], anything, [(2, 2), (1, 1), (0, 2)], "atom (0, 2) divides atom (2, 2)"),
+    ]
+    for alphabet, membership, atoms, message in cases:
+        with pytest.raises(InvalidSpecificationError) as caught:
+            PresentedMonoid(alphabet, membership, atoms)
+        assert str(caught.value) == message, atoms
+    # one membership test per atom
+    tested = []
+    PresentedMonoid(["a", "b"], lambda v: tested.append(v) or True, [(2, 0), (1, 1), (0, 2)])
+    assert tested == [(2, 0), (1, 1), (0, 2)]
+
+
+def test_length_sets_and_factorizations_match_the_naive_oracle():
+    rng = random.Random("dividing-atom masks")
+    monoids = []
+    for orders in ([3], [4], [5], [6], [2, 2], [2, 3]):
+        G = make_group(orders)
+        elements = G.elements()
+        monoids.append(BlockMonoid(G, rng.sample(elements, rng.randint(2, len(elements)))).presented())
+        primes = [f"p{i}" for i in range(rng.randint(2, 5))]
+        monoids.append(make_krull(G, primes, {p: rng.choice(elements[1:]) for p in primes}))
+    G = make_group([2, 3])
+    graded = BlockMonoid(G, subset_nonzero(G)).presented()
+    monoids.append(PresentedMonoid(graded.alphabet, graded.membership, graded.atoms))
+    clamped = 0
+    for P in monoids:
+        tops = [max(column) for column in zip(*P.atoms)]
+        vectors = list(P.elements(6))
+        for _ in range(12):
+            picked = rng.choices(P.atoms, k=rng.randint(2, 4))
+            vectors.append(tuple(map(sum, zip(*picked))))
+        for v in vectors:
+            clamped += any(x > top for x, top in zip(v, tops))
+            naive = sorted(naive_factorizations(P.atoms, v))
+            mine = [tuple(i for i, m in z.counts for _ in range(m)) for z in P.factorizations(v)]
+            assert mine == naive, v
+            assert P.length_set(v) == tuple(sorted(naive_length_set(P.atoms, v))), v
+    assert clamped >= 100
 
 
 def test_factorizations_c3_example():

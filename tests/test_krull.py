@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 from math import prod
 
@@ -12,7 +13,7 @@ from factorinv.errors import (
     InvalidSpecificationError,
     NotAMemberError,
 )
-from factorinv.factorize import Factorization
+from factorinv.factorize import Factorization, PresentedMonoid
 from factorinv.krull import KrullMonoid, make_krull, synth_hnp
 from factorinv.towers import Tower, TowerSpec
 
@@ -54,6 +55,20 @@ def test_make_krull_validation():
         make_krull(G, ["p", "q"], {"p": (1,)})
     with pytest.raises(InvalidSpecificationError):
         make_krull(G, [], {})
+
+
+def test_thousands_of_atoms_validate_fast_and_a_divided_atom_is_still_rejected():
+    G = make_group([9])
+    primes = [f"p{i}" for i in range(10)]
+    started = time.perf_counter()
+    H = make_krull(G, primes, {p: (1 + i % 2,) for i, p in enumerate(primes)})
+    assert time.perf_counter() - started < 3
+    assert len(H.atoms) == 6545
+    b = tuple(x + y for x, y in zip(H.atoms[0], H.atoms[-1]))
+    _, least = min((sum(a), a) for a in H.atoms if all(x <= y for x, y in zip(a, b)))
+    with pytest.raises(InvalidSpecificationError) as caught:
+        PresentedMonoid(H.primes, H.membership, H.atoms + (b,))
+    assert str(caught.value) == f"atom {least!r} divides atom {b!r}"
 
 
 def test_krull_atoms_examples():
@@ -224,6 +239,17 @@ def test_verify_transfer_c2():
     rep = c2_monoid().verify_transfer(8)
     assert rep.ok, rep
     assert rep.elements_checked > 0 and rep.splits_checked > 0
+
+
+def test_verify_transfer_names_differing_length_sets():
+    H = make_krull(make_group([3]), ["p", "q"], {"p": (1,), "q": (2,)})
+    blocks = H.block_monoid().presented()
+    length_set = blocks._length_set
+    # a block monoid that also claims length 3 for every nonzero element
+    blocks._length_set = lambda w: length_set(w) | (1 << 3 if any(w) else 0)
+    rep = H.verify_transfer(4)
+    assert not rep.ok
+    assert rep.failure == "length sets differ at (1, 1): (1,) vs (1, 3)"
 
 
 def test_fiber_catenary_factorial():
