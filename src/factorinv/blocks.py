@@ -87,13 +87,13 @@ class Sequence:
     def __str__(self) -> str:
         if not self.counts:
             return "empty"
+        return "·".join(_fmt_element(g) if m == 1 else f"{_fmt_element(g)}^{m}" for g, m in self.counts)
 
-        def fmt(g: Element) -> str:
-            if len(g) == 1:
-                return str(g[0])
-            return "(" + ",".join(map(str, g)) + ")"
 
-        return "·".join(fmt(g) if m == 1 else f"{fmt(g)}^{m}" for g, m in self.counts)
+def _fmt_element(g: Element) -> str:
+    if len(g) == 1:
+        return str(g[0])
+    return "(" + ",".join(map(str, g)) + ")"
 
 
 def subset_nonzero(group: FinAbGroup) -> tuple[Element, ...]:
@@ -132,7 +132,6 @@ class BlockMonoid:
         if not subset:
             raise InvalidSpecificationError("the subset G0 must be nonempty")
         self.subset = subset
-        self._vector_is_zero_sum = _zero_sum_test(group, subset)
         self._presented: PresentedMonoid | None = None
 
     # -- conversions -------------------------------------------------------
@@ -166,12 +165,8 @@ class BlockMonoid:
     def presented(self) -> PresentedMonoid:
         """The exponent-vector presentation of this monoid (cached)."""
         if self._presented is None:
-            self._presented = PresentedMonoid(
-                alphabet=self.subset,
-                membership=self._vector_is_zero_sum,
-                atoms=sorted(_atom_vectors(self.group, self.subset)),
-                grading=(self.group, self.subset),
-            )
+            presentation = _zero_sum_presentation(self.group, self.subset)
+            self._presented = PresentedMonoid(alphabet=self.subset, **presentation)
         return self._presented
 
     def atoms(self) -> tuple[Sequence, ...]:
@@ -203,6 +198,13 @@ class BlockMonoid:
 def minimal_zero_sum_sequences(group: FinAbGroup, subset=None) -> tuple[Sequence, ...]:
     """Atoms of the monoid of zero-sum sequences over ``subset`` (default: all of G)."""
     return BlockMonoid(group, subset).atoms()
+
+
+def _zero_sum_presentation(group: FinAbGroup, letters) -> dict:
+    """The ``membership``, sorted ``atoms`` and ``grading`` arguments of
+    :class:`PresentedMonoid` for the zero-sum words over ``letters``."""
+    return dict(membership=_zero_sum_test(group, letters), atoms=sorted(_atom_vectors(group, letters)),
+                grading=(group, letters))
 
 
 def _atom_vectors(group: FinAbGroup, letters) -> Iterator[tuple[int, ...]]:

@@ -23,6 +23,7 @@ from .errors import (
     NonPrincipalBoundError,
     UnknownBuiltinError,
 )
+from .factorize import _lengths, _multiset_distance
 
 
 @dataclass(frozen=True)
@@ -240,8 +241,7 @@ class IdealLattice:
         for node in reversed(self._order):
             for upper in self._covers_above[node] if node in reached else ():
                 reached[upper] = reached.get(upper, 0) | reached[node] << 1
-        mask = reached[self.top]
-        return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+        return _lengths(reached[self.top])
 
 
 def composition_distance(c1: Chain, c2: Chain) -> int:
@@ -250,9 +250,7 @@ def composition_distance(c1: Chain, c2: Chain) -> int:
     remaining count is returned."""
     if c1.lattice is not c2.lattice:
         raise IncomparableError("chains belong to different lattices")
-    m1, m2 = Counter(c1.step_labels), Counter(c2.step_labels)
-    shared = sum(min(m, m2[s]) for s, m in m1.items() if s in m2)
-    return max(c1.length - shared, c2.length - shared)
+    return _multiset_distance(Counter(c1.step_labels), Counter(c2.step_labels))
 
 
 # -- built-in lattices --------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 from . import chains as chains_mod
 from . import towers as towers_mod
 from .abelian import FinAbGroup
-from .blocks import BlockMonoid, davenport, subset_from_doc
+from .blocks import BlockMonoid, _fmt_element, davenport, subset_from_doc
 from .errors import FactorInvError
 from .factorize import delta_of_set
 from .krull import KrullMonoid, synth_hnp
@@ -38,12 +38,6 @@ class _Parser(argparse.ArgumentParser):
 
 class CliUsageError(Exception):
     pass
-
-
-def _fmt_element(g) -> str:
-    if len(g) == 1:
-        return str(g[0])
-    return "(" + ",".join(map(str, g)) + ")"
 
 
 def _fmt_set(values) -> str:

@@ -17,10 +17,10 @@ int count vectors with explicit stacks, so no element meets a recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul, sub
+from operator import add, mul, sub
 from typing import Callable, Iterator, Optional
 
-from .abelian import _is_int, _tables, _translate
+from .abelian import _is_int, _tables, _translate, _zero_sum_test
 from .errors import (
     IncomparableError,
     InvalidSpecificationError,
@@ -50,9 +50,14 @@ class Factorization:
 
 def permutable_distance(z1: Factorization, z2: Factorization) -> int:
     """Cancel the common atom multiset, return the larger remaining length."""
-    c1, c2 = z1.as_dict(), z2.as_dict()
-    shared = sum(min(m, c2[i]) for i, m in c1.items() if i in c2)
-    return max(z1.length - shared, z2.length - shared)
+    return _multiset_distance(z1.as_dict(), z2.as_dict())
+
+
+def _multiset_distance(c1: dict, c2: dict) -> int:
+    """Cancel the common part of two item -> multiplicity mappings and
+    return the larger remainder."""
+    shared = sum(min(m, c2.get(i, 0)) for i, m in c1.items())
+    return max(sum(c1.values()), sum(c2.values())) - shared
 
 
 def delta_of_set(lengths) -> tuple[int, ...]:
@@ -69,21 +74,14 @@ def _bottleneck(factorizations) -> int:
     if len(factorizations) <= 1:
         return 0
     dicts = [dict(c) for c in factorizations]
-    lengths = [sum(m for _, m in c) for c in factorizations]
-
-    def distance(a, b):
-        other = dicts[b]
-        shared = sum(min(m, other.get(i, 0)) for i, m in factorizations[a])
-        return max(lengths[a], lengths[b]) - shared
-
     # cheapest edge from the tree grown so far to each vertex outside it
-    reach = {b: distance(0, b) for b in range(1, len(factorizations))}
+    reach = {b: _multiset_distance(dicts[0], dicts[b]) for b in range(1, len(dicts))}
     threshold = 0
     while reach:
         nearest = min(reach, key=reach.get)
         threshold = max(threshold, reach.pop(nearest))
         for b, d in reach.items():
-            reach[b] = min(d, distance(nearest, b))
+            reach[b] = min(d, _multiset_distance(dicts[nearest], dicts[b]))
     return threshold
 
 
@@ -115,6 +113,7 @@ class PresentedMonoid:
             if len(classes) != len(self.alphabet):
                 raise InvalidSpecificationError("a grading needs one class per letter")
             self._grading, self._scan_test = _tables(group, classes), None
+        self._graded = grading and _zero_sum_test(*grading)  # the class sum test of a grading
         self.atoms = tuple(tuple(a) for a in atoms)
         self._validate_atoms()
         self._fact_cache: dict[tuple[Vector, int], tuple] = {}
@@ -130,6 +129,8 @@ class PresentedMonoid:
                 raise InvalidSpecificationError("atoms must be nonzero")
             if not self.membership(a):
                 raise InvalidSpecificationError(f"atom {a!r} fails membership")
+            if self._graded and not self._graded(a):
+                raise InvalidSpecificationError(f"atom {a!r} has a nonzero class sum in the grading")
             if a in seen:
                 raise InvalidSpecificationError(f"duplicate atom {a!r}")
             seen.add(a)
@@ -349,15 +350,16 @@ class PresentedMonoid:
 
     def rho2(self, size_bound: int) -> int:
         """Largest factorization length of a product of two atoms of total
-        1-norm <= size_bound."""
+        1-norm <= size_bound; each row of pairs, in 1-norm order, stops there."""
         if size_bound < 2:
             raise InvalidSpecificationError("rho2 needs size_bound >= 2")
         best = 0
-        for i, a in enumerate(self.atoms):
-            for b in self.atoms[i:]:
-                v = tuple(x + y for x, y in zip(a, b))
-                if sum(v) <= size_bound:
-                    best = max(best, self._length_set(v).bit_length() - 1)
+        atoms = sorted((sum(a), a) for a in self.atoms)
+        for i, (n, a) in enumerate(atoms):
+            for m, b in atoms[i:]:
+                if n + m > size_bound:
+                    break
+                best = max(best, self._length_set(tuple(map(add, a, b))).bit_length() - 1)
         return best
 
     def half_factorial(self, size_bound: int):

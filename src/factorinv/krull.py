@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .abelian import FinAbGroup, _zero_sum_test
-from .blocks import BlockMonoid, Sequence, _atom_vectors
+from .blocks import BlockMonoid, Sequence, _zero_sum_presentation
 from .errors import (
     FaithfulTowerError,
     InternalConsistencyError,
@@ -68,12 +68,7 @@ class KrullMonoid(PresentedMonoid):
 
         self._image = image
         classes = tuple(self.classes[p] for p in self.primes)
-        super().__init__(
-            alphabet=self.primes,
-            membership=_zero_sum_test(group, classes),
-            atoms=sorted(_atom_vectors(group, classes)),
-            grading=(group, classes),
-        )
+        super().__init__(alphabet=self.primes, **_zero_sum_presentation(group, classes))
         self._atom_images = tuple(self._image(a) for a in self.atoms)
 
     @classmethod
@@ -95,7 +90,7 @@ class KrullMonoid(PresentedMonoid):
 
     def beta(self, v) -> Sequence:
         """Replace every prime occurrence of a member by its class."""
-        return self._blocks.sequence_of(self._image(self.check_member(v)))
+        return self._blocks._sequence(self._image(self.check_member(v)))
 
     def lift_factorization(self, v, blocks) -> list[Vector]:
         """Split a member into factors with prescribed class images.
@@ -111,7 +106,7 @@ class KrullMonoid(PresentedMonoid):
         product = Sequence.empty(self.group)
         for block in blocks:
             product = product * block
-        if product != self.beta(v):
+        if product != self._blocks._sequence(self._image(v)):
             raise InvalidSpecificationError("blocks do not multiply to the class image of the element")
         return self._lift(v, [self._blocks.vector_of(block) for block in blocks])
 
@@ -147,11 +142,10 @@ class KrullMonoid(PresentedMonoid):
             raise InvalidElementError("sequences live over different groups")
         if seq.sum() != self.group.zero:
             raise NotAMemberError(f"{seq} is not a zero-sum sequence")
-        def sequence(counts):
-            return Sequence.from_counts(self.group, dict(zip(seq.support, counts)))
-
+        # the empty sequence splits only into two empty parts, over any letters
+        part = BlockMonoid(self.group, seq.support or self.image_classes)._sequence
         splits = self._two_splits(seq.support, tuple(m for _, m in seq.counts))
-        return [(sequence(sub), sequence(rest)) for sub, rest in splits]
+        return [(part(sub), part(rest)) for sub, rest in splits]
 
     def _two_splits(self, classes, counts) -> list[tuple[Vector, Vector]]:
         """(sub, counts - sub) for every zero-sum sub-count vector of
@@ -171,9 +165,10 @@ class KrullMonoid(PresentedMonoid):
         product decomposition of v with the prescribed images; and the
         length set of v equals the length set of its image in the block
         monoid.  Also checks that every zero-sum sequence over the image
-        classes of length <= size_bound has a preimage.  Stops at the first
-        violation.  The scan runs on trusted count vectors: images are
-        class counts over ``image_classes``, the block monoid's coordinates.
+        classes of length <= size_bound is the image of a scanned member.
+        Stops at the first violation.  The scan runs on trusted count
+        vectors: images are class counts over ``image_classes``, the block
+        monoid's coordinates.
         """
         blocks = self._blocks.presented()
         elements = 0
@@ -205,16 +200,13 @@ class KrullMonoid(PresentedMonoid):
         surjectivity = 0
         for target in blocks.elements(size_bound):
             surjectivity += 1
-            preimage = [0] * len(self.primes)
-            for slot, mult in enumerate(target):
-                preimage[self._slot_primes[slot][0]] += mult
-            if self._image(preimage) != target:
-                failure = f"no preimage found for {self._blocks.sequence_of(target)}"
+            if target not in split_cache:
+                failure = f"no preimage found for {self._blocks._sequence(target)}"
                 return TransferReport(False, elements, splits, failure, surjectivity)
         return TransferReport(True, elements, splits, None, surjectivity)
 
     def atom_image(self, atom_index: int) -> Sequence:
-        return self._blocks.sequence_of(self._atom_images[atom_index])
+        return self._blocks._sequence(self._atom_images[atom_index])
 
     def fiber_catenary(self, size_bound: int) -> int:
         """Worst bottleneck threshold inside a fiber of the transfer map.

@@ -125,6 +125,13 @@ def naive_length_set(atoms, v) -> set:
     return {len(f) for f in naive_factorizations(atoms, v)}
 
 
+def naive_rho2(atoms, bound: int) -> int:
+    """The most factorization lengths of a product of two atoms, over every
+    pair of atoms whose product has 1-norm <= bound (0 when there is none)."""
+    products = (tuple(x + y for x, y in zip(a, b)) for a in atoms for b in atoms)
+    return max((max(naive_length_set(atoms, v)) for v in products if sum(v) <= bound), default=0)
+
+
 def composition_scan(monoid, bound: int) -> list[tuple[int, ...]]:
     """Members of 1-norm <= bound in (norm, lex) order, by asking the
     monoid's membership predicate about every count vector: the vectors of

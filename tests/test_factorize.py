@@ -19,7 +19,7 @@ from factorinv.factorize import (
 )
 from factorinv.krull import make_krull
 
-from oracles import catenary_minimax, naive_factorizations, naive_length_set
+from oracles import catenary_minimax, naive_factorizations, naive_length_set, naive_rho2
 
 
 def block_presented(orders, subset=None):
@@ -311,6 +311,38 @@ def test_rho2_examples():
     assert P2.rho2(6) == 2
     _, P3 = block_presented([3])
     assert P3.rho2(6) == 3
+
+
+def test_rho2_matches_the_naive_oracle():
+    rng = random.Random("rho2 in 1-norm order")
+    checked = 0
+    for orders in ([3], [4], [5], [6], [2, 2], [2, 3]):
+        G = make_group(orders)
+        elements = G.elements()
+        primes = [f"p{i}" for i in range(rng.randint(2, 4))]
+        for P in (
+            BlockMonoid(G, rng.sample(elements, rng.randint(2, len(elements)))).presented(),
+            make_krull(G, primes, {p: rng.choice(elements) for p in primes}),
+        ):
+            norms = sorted({sum(a) for a in P.atoms})
+            # every pair norm, and the bounds just below and between them
+            bounds = {max(2, n + m + d) for n in norms for m in norms for d in (-1, 0)}
+            for bound in sorted(bounds)[:8]:
+                assert P.rho2(bound) == naive_rho2(P.atoms, bound), (P.atoms, bound)
+                checked += 1
+    assert checked >= 60
+
+
+def test_presented_monoid_rejects_atoms_against_the_grading():
+    # (2,) is a member, but its class sum in C3 is not zero
+    with pytest.raises(InvalidSpecificationError) as caught:
+        PresentedMonoid(["a"], lambda v: v[0] % 2 == 0, [(2,)], grading=(make_group([3]), [(1,)]))
+    assert str(caught.value) == "atom (2,) has a nonzero class sum in the grading"
+    # one membership test per atom, also with a grading
+    tested = []
+    P = PresentedMonoid(["a"], lambda v: tested.append(v) or v[0] % 3 == 0, [(3,)],
+                        grading=(make_group([3]), [(1,)]))
+    assert tested == [(3,)] and list(P.elements(6)) == [(0,), (3,), (6,)]
 
 
 def test_rho2_requires_bound_two():

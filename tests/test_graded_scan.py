@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from factorinv import blocks
 from factorinv.abelian import make_group
 from factorinv.blocks import BlockMonoid, subset_nonzero
 from factorinv.errors import InvalidSpecificationError
@@ -71,23 +72,28 @@ def test_grading_needs_one_class_per_letter():
         PresentedMonoid(["a"], lambda v: v[0] % 2 == 0, [(2,)], grading=(G, [(1,), (1,)]))
 
 
-def test_graded_elements_test_no_composition():
+def test_graded_elements_test_no_composition(monkeypatch):
     G = make_group([2, 2, 2])
-    B = BlockMonoid(G, subset_nonzero(G))
+    expected = composition_scan(BlockMonoid(G, subset_nonzero(G)).presented(), 8)
     calls = {True: 0, False: 0}
-    predicate = B._vector_is_zero_sum
+    zero_sum_test = blocks._zero_sum_test
 
-    def counted(v):
-        result = predicate(v)
-        calls[result] += 1
-        return result
+    def counting(group, letters):
+        predicate = zero_sum_test(group, letters)
 
-    B._vector_is_zero_sum = counted
-    P = B.presented()
-    assert P.membership is counted and calls[False] == 0
+        def counted(v):
+            result = predicate(v)
+            calls[result] += 1
+            return result
+
+        return counted
+
+    monkeypatch.setattr(blocks, "_zero_sum_test", counting)
+    P = BlockMonoid(G, subset_nonzero(G)).presented()
+    # construction tests the atoms only, each of them a member
+    assert calls == {True: len(P.atoms), False: 0}
     calls[True] = 0
-    members = list(P.elements(8))
-    assert members == composition_scan(BlockMonoid(G, subset_nonzero(G)).presented(), 8)
+    assert list(P.elements(8)) == expected
     assert calls == {True: 0, False: 0}
 
 

@@ -252,6 +252,25 @@ def test_verify_transfer_names_differing_length_sets():
     assert rep.failure == "length sets differ at (1, 1): (1,) vs (1, 3)"
 
 
+def test_verify_transfer_reads_surjectivity_from_the_scanned_images():
+    H = make_krull(make_group([3]), ["p", "q"], {"p": (1,), "q": (2,)})
+    # a scan that misses the member pq leaves the block member 1·2 without a preimage
+    H.elements = lambda bound: (v for v in KrullMonoid.elements(H, bound) if v != (1, 1))
+    rep = H.verify_transfer(4)
+    assert not rep.ok
+    assert rep.failure == "no preimage found for 1·2"
+
+
+def test_rho2_stops_at_the_bound_on_thousands_of_atoms():
+    G = make_group([9])
+    primes = [f"p{i}" for i in range(8)]
+    H = make_krull(G, primes, {p: (1 + i % 2,) for i, p in enumerate(primes)})
+    assert len(H.atoms) == 2020
+    started = time.perf_counter()
+    assert H.rho2(2) == 0
+    assert time.perf_counter() - started < 0.5
+
+
 def test_fiber_catenary_factorial():
     G = make_group([3])
     H = make_krull(G, ["p", "q"], {"p": (0,), "q": (0,)})
