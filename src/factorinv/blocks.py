@@ -15,7 +15,7 @@ from typing import Iterator
 
 from .abelian import Element, FinAbGroup, _is_int, _tables, _translate, _zero_sum_test
 from .errors import InvalidElementError, InvalidSpecificationError
-from .factorize import PresentedMonoid, _evaluate, _zero_sum_vectors
+from .factorize import PresentedMonoid, _bound, _evaluate, _zero_sum_vectors
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class BlockMonoid:
         vectors.  The walk needs no atoms, so it does not build
         :meth:`presented`.
         """
-        if maxlen < 0:
+        if _bound(maxlen) < 0:
             raise InvalidSpecificationError("maxlen must be >= 0")
         members = _zero_sum_vectors(*_tables(self.group, self.subset), maxlen)
         return [self._sequence(v) for v in sorted(members, key=lambda v: (sum(v), [-m for m in v]))]

@@ -2,13 +2,13 @@
 
 A monoid is given by a finite alphabet of prime labels, a membership
 predicate on exponent vectors and its finite atom set; a factorization is a
-multiset of atoms.  Length sets (int bitmasks), distance sets, elasticities
-and catenary degrees come from scanning members of bounded 1-norm, which a
-zero-sum grading (block and Krull monoids) walks directly; otherwise every
-composition is tested.  One table per monoid, per letter and value, ANDs to
-the atoms dividing a vector, for quotients, atom validation and the catenary
-degree of a scan from its Betti elements; that of one element, or of a
-fiber, is the Prim bottleneck of its factorizations.
+multiset of atoms.  One table per monoid, per letter and value, ANDs to the
+atoms dividing a vector.  Bounded scans (delta, half-factoriality, the
+catenary degree from the Betti elements, the transfer check) read one member
+table, filled in (norm, lex) order: each member's dividing atoms and length
+set as int bitmasks, from the rows of its quotients.  One element's length
+set is a memoized walk; its catenary degree, or a fiber's, is the Prim
+bottleneck of its factorizations.
 
 Public methods validate their input once; internal scans work on trusted
 int count vectors with explicit stacks, so no element meets a recursion limit.
@@ -89,9 +89,8 @@ class PresentedMonoid:
     """Reduced atomic commutative monoid over a finite prime alphabet.
 
     ``membership`` must describe a submonoid of the free abelian monoid on
-    the alphabet that is divisor-closed in the sense that quotients of
-    members by members are members whenever they exist; the atom list must
-    be the complete set of minimal nonzero members.
+    the alphabet, and the atom list must be its complete set of atoms
+    (irreducible members), no one below another as vectors.
 
     ``grading``, when given, is a pair (finite abelian group, class of each
     letter) such that the members are exactly the vectors whose class sum
@@ -172,7 +171,7 @@ class PresentedMonoid:
     def elements(self, size_bound: int) -> Iterator[Vector]:
         """All members of 1-norm <= size_bound, by (norm, lex) order."""
         test = self._scan_test
-        for v in _zero_sum_vectors(*self._grading, size_bound):
+        for v in _zero_sum_vectors(*self._grading, _bound(size_bound)):
             if test is None or test(v):
                 yield v
 
@@ -291,6 +290,27 @@ class PresentedMonoid:
         v = self.check_member(v)
         return _bottleneck(self._factorizations_from(v, 0))
 
+    def _members(self, size_bound: int) -> Iterator[tuple[Vector, int, int, dict]]:
+        """The member table: (v, mask, lengths, below) per member v of 1-norm
+        <= size_bound, by (norm, lex) order: the bitmasks of the atoms a that
+        divide v in the monoid and of its lengths, and per such a, by its bit,
+        the row of v - a, an earlier member keyed by its value in base size_bound + 1."""
+        base = _bound(size_bound) + 1
+        weights = [base**i for i in range(len(self.alphabet))]
+        code_of = {1 << j: sum(map(mul, atom, weights)) for j, atom in enumerate(self.atoms)}
+        table: dict[int, tuple[int, int]] = {}  # member code -> its (mask, lengths) row
+        for v in self.elements(size_bound):
+            code = sum(map(mul, v, weights))
+            below, lengths, rest = {}, 0, self._dividing(v)
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if row := table.get(code - code_of[bit]):  # else v - a is no member: a does not divide v
+                    below[bit] = row
+                    lengths |= row[1]
+            row = table[code] = sum(below), lengths << 1 or 1  # the mask is below's bits; L(0) = {0}
+            yield (v, *row, below)
+
     def catenary(self, size_bound: int) -> int:
         """Max of :meth:`catenary_of` over members of 1-norm <= size_bound,
         from the Betti elements, listing no factorization.
@@ -300,58 +320,36 @@ class PresentedMonoid:
         Math. 120 (2006)); the bounded form holds as every divisor of a
         member is a smaller member.  The R-classes of v (its factorizations
         linked by shared atoms) are the components of the graph on the atoms
-        dividing v with a ~ a' when a' divides v - a; μ(v) is the largest
-        least length of a class, and a Betti element has two classes or more.
-        Members come in (norm, lex) order, so each v - a is already known:
-        its least length and its dividing atoms, an int bitmask (the AND of
-        per-letter masks).  0 when no member has two classes.
+        dividing v with a ~ a' when a' divides v - a (the member table); μ(v)
+        is the largest least length of a class, and a Betti element has two
+        classes or more.  0 when no member has two classes.
         """
-        weights = [(size_bound + 1) ** i for i in range(len(self.alphabet))]
-        # atom bit -> the atom's code, its value in base size_bound + 1
-        code_of = {1 << j: sum(map(mul, atom, weights)) for j, atom in enumerate(self.atoms)}
-        least: dict[int, int] = {}  # member code -> least factorization length
-        dividing: dict[int, int] = {}  # member code -> bitmask of the atoms dividing it
         worst = 0
-        for v in self.elements(size_bound):
-            code = sum(map(mul, v, weights))
-            mask = dividing[code] = self._dividing(v)
-            # per dividing atom a: 1 + the least length of v - a, and the atoms dividing v - a
-            shortest, links = {}, {}
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                quotient = code - code_of[bit]
-                shortest[bit] = 1 + least[quotient]
-                links[bit] = dividing[quotient]
-            lows = []  # the least length of each R-class
-            rest = mask
+        for _, mask, _, below in self._members(size_bound):
+            classes, rest = [], mask  # the R-classes, as atom bitmasks
             while rest:
                 component = frontier = rest & -rest
                 while frontier:
                     bit = frontier & -frontier
-                    frontier ^= bit
-                    new = links[bit] & ~component
+                    new = below[bit][0] & ~component
                     component |= new
-                    frontier |= new
-                lows.append(min(length for bit, length in shortest.items() if bit & component))
+                    frontier = frontier ^ bit | new
+                classes.append(component)
                 rest &= ~component
-            least[code] = min(lows, default=0)
-            if len(lows) > 1:
+            if len(classes) > 1:  # through atom a, the least length is 1 + that of v - a
+                lows = (min((l & -l).bit_length() for b, (_, l) in below.items() if b & c) for c in classes)
                 worst = max(worst, *lows)
         return worst
 
     def delta(self, size_bound: int) -> tuple[int, ...]:
         """Union of successive-gap sets over members of 1-norm <= size_bound."""
-        out: set[int] = set()
-        for v in self.elements(size_bound):
-            out.update(delta_of_set(_lengths(self._length_set(v))))
-        return tuple(sorted(out))
+        length_sets = {lengths for _, _, lengths, _ in self._members(size_bound)}
+        return tuple(sorted({d for lengths in length_sets for d in delta_of_set(_lengths(lengths))}))
 
     def rho2(self, size_bound: int) -> int:
         """Largest factorization length of a product of two atoms of total
         1-norm <= size_bound; each row of pairs, in 1-norm order, stops there."""
-        if size_bound < 2:
+        if _bound(size_bound) < 2:
             raise InvalidSpecificationError("rho2 needs size_bound >= 2")
         best = 0
         atoms = sorted((sum(a), a) for a in self.atoms)
@@ -369,11 +367,17 @@ class PresentedMonoid:
         Members are scanned by (1-norm, lex) order, so the witness is the
         first violator in that order.
         """
-        for v in self.elements(size_bound):
-            lengths = self._length_set(v)
+        for v, _, lengths, _ in self._members(size_bound):
             if lengths & (lengths - 1):
                 return False, (v, _lengths(lengths))
         return True, None
+
+
+def _bound(size_bound) -> int:
+    """A size bound, which must be an int and not a bool."""
+    if not _is_int(size_bound):
+        raise InvalidSpecificationError(f"a size bound must be an integer, got {size_bound!r}")
+    return size_bound
 
 
 def _lengths(mask: int) -> tuple[int, ...]:

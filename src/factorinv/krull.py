@@ -166,23 +166,20 @@ class KrullMonoid(PresentedMonoid):
         length set of v equals the length set of its image in the block
         monoid.  Also checks that every zero-sum sequence over the image
         classes of length <= size_bound is the image of a scanned member.
-        Stops at the first violation.  The scan runs on trusted count
-        vectors: images are class counts over ``image_classes``, the block
-        monoid's coordinates.
+        Stops at the first violation.  Length sets come from the member
+        tables of both monoids; images are class counts over
+        ``image_classes``, the block monoid's coordinates, in its scan order.
         """
-        blocks = self._blocks.presented()
-        elements = 0
-        splits = 0
+        images = {w: lengths for w, _, lengths, _ in self._blocks.presented()._members(size_bound)}
+        elements = splits = 0
         split_cache: dict[Vector, list] = {}
-        for v in self.elements(size_bound):
-            elements += 1
+        for elements, (v, _, mine, _) in enumerate(self._members(size_bound), 1):
             image = self._image(v)
             if not any(image) and any(v):
                 return TransferReport(False, elements, splits, f"nonempty member {v} has empty image")
             if sum(image) != sum(v):
                 return TransferReport(False, elements, splits, f"image of {v} has wrong length")
-            theirs = blocks._length_set(image)
-            mine = self._length_set(v)
+            theirs = images.get(image, 0)  # an image missing from the table has no lengths
             if mine != theirs:
                 return TransferReport(
                     False, elements, splits,
@@ -197,13 +194,11 @@ class KrullMonoid(PresentedMonoid):
                     return TransferReport(False, elements, splits, f"lift of {v} does not multiply back")
                 if self._image(b) != left or self._image(c) != right:
                     return TransferReport(False, elements, splits, f"lift of {v} has wrong images")
-        surjectivity = 0
-        for target in blocks.elements(size_bound):
-            surjectivity += 1
+        for surjectivity, target in enumerate(images, 1):
             if target not in split_cache:
                 failure = f"no preimage found for {self._blocks._sequence(target)}"
                 return TransferReport(False, elements, splits, failure, surjectivity)
-        return TransferReport(True, elements, splits, None, surjectivity)
+        return TransferReport(True, elements, splits, None, len(images))
 
     def atom_image(self, atom_index: int) -> Sequence:
         return self._blocks._sequence(self._atom_images[atom_index])

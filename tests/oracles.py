@@ -149,6 +149,28 @@ def composition_scan(monoid, bound: int) -> list[tuple[int, ...]]:
     return members
 
 
+def gap_scan(monoid, bound: int) -> tuple[int, ...]:
+    """Union of the successive gaps of the length sets of the members of
+    1-norm <= bound, each from the monoid's single-element length walk, over
+    the composition scan."""
+    gaps = set()
+    for v in composition_scan(monoid, bound):
+        lengths = monoid.length_set(v)
+        gaps.update(b - a for a, b in zip(lengths, lengths[1:]))
+    return tuple(sorted(gaps))
+
+
+def first_member_with_two_lengths(monoid, bound: int):
+    """(True, None), or (False, (v, its length set)) for the first member v
+    of the composition scan with more than one length, each length set from
+    the monoid's single-element length walk."""
+    for v in composition_scan(monoid, bound):
+        lengths = monoid.length_set(v)
+        if len(lengths) > 1:
+            return False, (v, lengths)
+    return True, None
+
+
 def prim_catenary(monoid, bound: int) -> int:
     """Catenary degree up to a bound as the largest catenary degree of one
     member (the Prim bottleneck of its listed factorizations) over the

@@ -22,6 +22,7 @@ from oracles import (
     davenport_brute,
     is_minimal_zero_sum,
     minimal_zero_sum_brute,
+    naive_length_set,
     zero_sum_multisets_brute,
 )
 
@@ -302,3 +303,31 @@ def test_from_counts_rejects_bool_and_fractional_exponents():
     for bad in (True, 2.0):
         with pytest.raises(InvalidElementError):
             Sequence.from_counts(G, {(1,): bad})
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_largest_gap_of_a_cyclic_group_is_n_minus_two(n):
+    # max Δ(C_n) = n - 2, attained by g^n (-g)^n, of 1-norm 2n
+    G = make_group([n])
+    assert max(BlockMonoid(G, subset_nonzero(G)).presented().delta(2 * n)) == n - 2
+
+
+def test_delta_of_small_groups_against_theorems():
+    G = make_group([2, 2, 2])
+    assert BlockMonoid(G, subset_nonzero(G)).presented().delta(8) == (1, 2)
+    # an interval [1, m] with max{exp(G) - 2, r(G) - 1} <= m <= D(G) - 2
+    for orders, low, high in (([2, 4], 2, 3), ([3, 3], 1, 3)):
+        G = make_group(orders)
+        delta = BlockMonoid(G, subset_nonzero(G)).presented().delta(10)
+        assert delta == tuple(range(1, len(delta) + 1)) and low <= len(delta) <= high, orders
+
+
+def test_a_gap_of_three_over_c2_c2_c4():
+    # a^2 b^2 c^2 d^2 e^2 = (a^2)(b^2)(d^2)(ce)^2 is also a product of two
+    # atoms, so 3 lies in Δ(C2^2 x C4) though max{exp(G) - 2, r(G) - 1} = 2
+    G = make_group([2, 2, 4])
+    B = BlockMonoid(G, [(0, 1, 2), (1, 0, 2), (1, 1, 1), (1, 1, 2), (1, 1, 3)])
+    P = B.presented()
+    v = (2, 2, 2, 2, 2)
+    assert naive_length_set(P.atoms, v) == {2, 5}
+    assert P.length_set(v) == (2, 5) and 3 in P.delta(10)

@@ -17,7 +17,7 @@ from factorinv.factorize import (
     delta_of_set,
     permutable_distance,
 )
-from factorinv.krull import make_krull
+from factorinv.krull import TransferReport, make_krull
 
 from oracles import catenary_minimax, naive_factorizations, naive_length_set, naive_rho2
 
@@ -390,3 +390,33 @@ def test_entries_and_multiplicities_reject_bools_and_fractions():
         P.factorization_of(B.vector_of(B.sequence([(1,), (2,)])), {1: True})
     with pytest.raises(InvalidSpecificationError):
         P.factorization_of(B.vector_of(B.sequence([(1,), (2,)])), {True: 1})
+
+
+def bounded_scans():
+    """Every entry that takes a size bound, over C3 and one Krull monoid."""
+    B, P = block_presented([3])
+    H = make_krull(make_group([3]), ["p", "q"], {"p": (1,), "q": (2,)})
+    return {
+        "elements": lambda bound: list(P.elements(bound)),
+        "catenary": P.catenary,
+        "delta": P.delta,
+        "half_factorial": P.half_factorial,
+        "rho2": P.rho2,
+        "verify_transfer": H.verify_transfer,
+        "fiber_catenary": H.fiber_catenary,
+        "zero_sum_up_to": B.zero_sum_up_to,
+    }
+
+
+@pytest.mark.parametrize("bound", [2.5, 4.0, True, "4", None], ids=repr)
+@pytest.mark.parametrize("scan", sorted(bounded_scans()))
+def test_bounded_scans_reject_bools_and_non_integers(scan, bound):
+    with pytest.raises(InvalidSpecificationError, match="must be an integer"):
+        bounded_scans()[scan](bound)
+
+
+def test_negative_bounds_scan_nothing():
+    scans = bounded_scans()
+    assert scans["elements"](-1) == [] and scans["catenary"](-1) == 0 and scans["delta"](-1) == ()
+    assert scans["half_factorial"](-1) == (True, None) and scans["fiber_catenary"](-3) == 0
+    assert scans["verify_transfer"](-1) == TransferReport(True, 0, 0, None, 0)

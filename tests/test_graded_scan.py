@@ -1,5 +1,6 @@
-"""The members-only graded walk and the Betti-element catenary degree,
-against the composition scan and the Prim catenary of ``oracles``."""
+"""The members-only graded walk, the Betti-element catenary degree and the
+member-table scans, against the composition scan, the Prim catenary and the
+single-element length walk of ``oracles``."""
 
 import random
 from math import comb
@@ -11,9 +12,10 @@ from factorinv.abelian import make_group
 from factorinv.blocks import BlockMonoid, subset_nonzero
 from factorinv.errors import InvalidSpecificationError
 from factorinv.factorize import PresentedMonoid
+from factorinv.krull import make_krull
 
 from conftest import abelian_groups_up_to
-from oracles import composition_scan, prim_catenary
+from oracles import composition_scan, first_member_with_two_lengths, gap_scan, prim_catenary
 from test_acceptance import krull_batch
 
 GROUPS = abelian_groups_up_to(12)
@@ -42,15 +44,22 @@ def test_graded_elements_and_catenary_match_the_oracles(orders):
         P = BlockMonoid(G, subset).presented()
         for bound in (0, 1, BOUND):
             assert list(P.elements(bound)) == composition_scan(P, bound), (subset, bound)
-        assert P.catenary(BOUND) == prim_catenary(P, BOUND), subset
+        assert_scans_match_the_oracles(P, subset)
 
 
 def test_graded_elements_and_catenary_on_the_krull_batch():
     for H in krull_batch():
         assert list(H.elements(BOUND)) == composition_scan(H, BOUND), H.classes
-        assert H.catenary(BOUND) == prim_catenary(H, BOUND), H.classes
+        assert_scans_match_the_oracles(H, H.classes)
         blocks = H.block_monoid().presented()
         assert blocks.catenary(BOUND) == prim_catenary(blocks, BOUND), H.classes
+
+
+def assert_scans_match_the_oracles(P, label):
+    """The member-table scans at BOUND against the oracles."""
+    assert P.catenary(BOUND) == prim_catenary(P, BOUND), label
+    assert P.delta(BOUND) == gap_scan(P, BOUND), label
+    assert P.half_factorial(BOUND) == first_member_with_two_lengths(P, BOUND), label
 
 
 def test_ungraded_monoid_scans_compositions_and_agrees():
@@ -64,6 +73,20 @@ def test_ungraded_monoid_scans_compositions_and_agrees():
     # every composition of norm <= 7 over 5 letters, each tested once
     assert len(tested) == len(set(tested)) == sum(comb(n + 4, 4) for n in range(8))
     assert plain.catenary(7) == graded.catenary(7) == prim_catenary(graded, 7)
+
+
+def test_scans_of_a_monoid_not_closed_under_quotients():
+    def member(v):  # i (0,2) + j (1,1) + k (4,0)
+        x, y = v
+        return any((x - j) % 4 == 0 and y >= j and (y - j) % 2 == 0 for j in range(x + 1))
+
+    P = PresentedMonoid(["a", "b"], member, [(0, 2), (1, 1), (4, 0)])
+    # (0,2) lies below (1,1)^2 = (2,2) as a vector, but (2,0) is no member:
+    # the member table leaves it out of the atoms dividing (2,2)
+    assert member((2, 2)) and not member((2, 0))
+    assert P.catenary(10) == prim_catenary(P, 10) == 4
+    assert P.delta(10) == gap_scan(P, 10) == (1,)
+    assert P.half_factorial(10) == first_member_with_two_lengths(P, 10) == (False, ((4, 4), (3, 4)))
 
 
 def test_grading_needs_one_class_per_letter():
@@ -101,7 +124,14 @@ def test_catenary_lists_no_factorizations():
     G = make_group([2, 4])
     P = BlockMonoid(G, subset_nonzero(G)).presented()
     assert P.catenary(10) == 4
-    assert P._fact_cache == {}
+    assert P.delta(10) == (1, 2) and not P.half_factorial(10)[0]
+    H = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (1, 3), "r": (1, 2)})
+    assert H.verify_transfer(BOUND).ok
+    for monoid in (P, H, H.block_monoid().presented()):
+        # the scans read the member table: no factorization is listed, and
+        # no length set is memoized beyond the seeded zero vector
+        assert monoid._fact_cache == {}
+        assert monoid._lenset_cache == {(0,) * len(monoid.alphabet): 1}
     assert P.catenary_of(P.atoms[0]) == 0
     assert P._fact_cache
 

@@ -244,18 +244,31 @@ def test_verify_transfer_c2():
 def test_verify_transfer_names_differing_length_sets():
     H = make_krull(make_group([3]), ["p", "q"], {"p": (1,), "q": (2,)})
     blocks = H.block_monoid().presented()
-    length_set = blocks._length_set
-    # a block monoid that also claims length 3 for every nonzero element
-    blocks._length_set = lambda w: length_set(w) | (1 << 3 if any(w) else 0)
+    members = blocks._members
+    # a block member table that also claims length 3 for every nonzero member
+    blocks._members = lambda bound: (
+        (w, mask, lengths | (1 << 3 if any(w) else 0), below) for w, mask, lengths, below in members(bound)
+    )
     rep = H.verify_transfer(4)
     assert not rep.ok
     assert rep.failure == "length sets differ at (1, 1): (1,) vs (1, 3)"
 
 
+def test_verify_transfer_fails_on_an_image_missing_from_the_block_table():
+    H = make_krull(make_group([3]), ["p", "q"], {"p": (1,), "q": (2,)})
+    blocks = H.block_monoid().presented()
+    members = blocks._members
+    # a block member table without the row of 1·2: its image has no lengths
+    blocks._members = lambda bound: (row for row in members(bound) if row[0] != (1, 1))
+    rep = H.verify_transfer(4)
+    assert not rep.ok
+    assert rep.failure == "length sets differ at (1, 1): (1,) vs ()"
+
+
 def test_verify_transfer_reads_surjectivity_from_the_scanned_images():
     H = make_krull(make_group([3]), ["p", "q"], {"p": (1,), "q": (2,)})
-    # a scan that misses the member pq leaves the block member 1·2 without a preimage
-    H.elements = lambda bound: (v for v in KrullMonoid.elements(H, bound) if v != (1, 1))
+    # a member table that skips the row of pq leaves the block member 1·2 without a preimage
+    H._members = lambda bound: (row for row in KrullMonoid._members(H, bound) if row[0] != (1, 1))
     rep = H.verify_transfer(4)
     assert not rep.ok
     assert rep.failure == "no preimage found for 1·2"
