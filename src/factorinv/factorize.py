@@ -7,8 +7,8 @@ atoms dividing a vector.  Bounded scans (delta, half-factoriality, the
 catenary degree from the Betti elements, the transfer check) read one member
 table, filled in (norm, lex) order: each member's dividing atoms and length
 set as int bitmasks, from the rows of its quotients.  One element's length
-set is a memoized walk; its catenary degree, or a fiber's, is the Prim
-bottleneck of its factorizations.
+set is a memoized walk and its catenary degree the Prim bottleneck of its
+factorizations; rho2 and the Krull fiber catenary walk the pairs of atoms.
 
 Public methods validate their input once; internal scans work on trusted
 int count vectors with explicit stacks, so no element meets a recursion limit.
@@ -346,19 +346,25 @@ class PresentedMonoid:
         length_sets = {lengths for _, _, lengths, _ in self._members(size_bound)}
         return tuple(sorted({d for lengths in length_sets for d in delta_of_set(_lengths(lengths))}))
 
-    def rho2(self, size_bound: int) -> int:
-        """Largest factorization length of a product of two atoms of total
-        1-norm <= size_bound; each row of pairs, in 1-norm order, stops there."""
-        if _bound(size_bound) < 2:
-            raise InvalidSpecificationError("rho2 needs size_bound >= 2")
-        best = 0
+    def _atom_pairs(self, size_bound: int) -> Iterator[tuple[Vector, Vector]]:
+        """The pairs a <= b of atoms with |a| + |b| <= size_bound, rows by
+        (1-norm, vector) order of a; each row stops at the bound."""
         atoms = sorted((sum(a), a) for a in self.atoms)
         for i, (n, a) in enumerate(atoms):
+            if 2 * n > size_bound:  # this row and every later one are empty
+                return
             for m, b in atoms[i:]:
                 if n + m > size_bound:
                     break
-                best = max(best, self._length_set(tuple(map(add, a, b))).bit_length() - 1)
-        return best
+                yield a, b
+
+    def rho2(self, size_bound: int) -> int:
+        """Largest factorization length of a product of two atoms of total
+        1-norm <= size_bound."""
+        if _bound(size_bound) < 2:
+            raise InvalidSpecificationError("rho2 needs size_bound >= 2")
+        pairs = self._atom_pairs(size_bound)
+        return max((self._length_set(tuple(map(add, a, b))).bit_length() - 1 for a, b in pairs), default=0)
 
     def half_factorial(self, size_bound: int):
         """(True, None) when every member of 1-norm <= size_bound has a

@@ -220,6 +220,8 @@ class Tower:
     cls: Element
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise InvalidSpecificationError(f"tower name must be a string, got {self.name!r}")
         if self.kind not in (CYCLE, FAITHFUL):
             raise InvalidSpecificationError(f"tower kind must be 'cycle' or 'faithful', got {self.kind!r}")
         if not _is_int(self.length) or self.length < 1:

@@ -205,6 +205,22 @@ def catenary_minimax(factorizations) -> int:
     return max(cost[i][j] for i in range(n) for j in range(n))
 
 
+def fiber_catenary_by_listing(monoid, bound: int) -> int:
+    """Largest catenary degree of a fiber of a Krull monoid's transfer map
+    over the members of 1-norm <= bound, by listing: each member's public
+    factorizations, grouped by the sorted class images of their atoms, each
+    group's catenary degree from the chain definition."""
+    images = [monoid.atom_image(i).counts for i in range(len(monoid.atoms))]
+    worst = 0
+    for v in composition_scan(monoid, bound):
+        fibers: dict = {}
+        for z in monoid.factorizations(v):
+            key = tuple(sorted(images[i] for i, m in z.counts for _ in range(m)))
+            fibers.setdefault(key, []).append(z)
+        worst = max(worst, *map(catenary_minimax, fibers.values()))
+    return worst
+
+
 def first_fit_lift(monoid, v, blocks) -> list[tuple[int, ...]]:
     """Pieces of ``v`` with the given block images, each class of each block
     filled from the primes of that class in prime order, scanning all primes."""

@@ -29,13 +29,18 @@ TOWERS = [
     {"group": {"orders": [2]}, "towers": [{"name": "F", "type": "faithful", "length": 1, "class": [0]},
                                           {"name": "T", "type": "cycle", "length": 3, "class": [1]}]},
 ]
+# tower names that are not strings: each ends in one error line
+BAD_NAMES = [
+    {"group": {"orders": [2]}, "towers": [{"name": name, "type": "cycle", "length": 1, "class": [1]}]}
+    for name in (["T"], 5)
+]
 KRULL = {"group": {"orders": [2]}, "primes": [{"name": "p", "class": [1]}, {"name": "q", "class": [1]}]}
-# valid documents by action; every other action reads a group or a block monoid
+# documents by action, valid but for BAD_NAMES; every other action reads a group or a block monoid
 DOCUMENTS = {
     "verify": [KRULL],
     "fiber-catenary": [KRULL],
-    "synth": TOWERS,
-    "genus-step": TOWERS,
+    "synth": TOWERS + BAD_NAMES,
+    "genus-step": TOWERS + BAD_NAMES,
     "submodule": [{"cycle_length": 2, "arcs": [{"bottom": 0, "length": 3}]}],
     "analyze": [LATTICE],
 }

@@ -127,9 +127,12 @@ def test_catenary_lists_no_factorizations():
     assert P.delta(10) == (1, 2) and not P.half_factorial(10)[0]
     H = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (1, 3), "r": (1, 2)})
     assert H.verify_transfer(BOUND).ok
-    for monoid in (P, H, H.block_monoid().presented()):
-        # the scans read the member table: no factorization is listed, and
-        # no length set is memoized beyond the seeded zero vector
+    # the fiber catenary reads the atom pairs: (q·r)(p·q^3) = (p·r)(q^4), one fiber
+    K = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (0, 1), "r": (0, 3)})
+    assert H.fiber_catenary(BOUND) == 0 and K.fiber_catenary(BOUND) == 2
+    for monoid in (P, H, H.block_monoid().presented(), K):
+        # the scans read the member table or the atom pairs: no factorization
+        # is listed, and no length set is memoized beyond the seeded zero vector
         assert monoid._fact_cache == {}
         assert monoid._lenset_cache == {(0,) * len(monoid.alphabet): 1}
     assert P.catenary_of(P.atoms[0]) == 0

@@ -18,7 +18,13 @@ from factorinv.krull import KrullMonoid, make_krull, synth_hnp
 from factorinv.towers import Tower, TowerSpec
 
 from conftest import abelian_groups_up_to
-from oracles import catenary_minimax, first_fit_lift, krull_atoms_by_expansion, naive_factorizations
+from oracles import (
+    catenary_minimax,
+    fiber_catenary_by_listing,
+    first_fit_lift,
+    krull_atoms_by_expansion,
+    naive_factorizations,
+)
 from test_acceptance import krull_batch
 
 
@@ -69,6 +75,11 @@ def test_thousands_of_atoms_validate_fast_and_a_divided_atom_is_still_rejected()
     with pytest.raises(InvalidSpecificationError) as caught:
         PresentedMonoid(H.primes, H.membership, H.atoms + (b,))
     assert str(caught.value) == f"atom {least!r} divides atom {b!r}"
+    # the smallest atoms, p·q^4 over the two classes, have 1-norm 5; at 10,
+    # p0·p1^4 and p0·p3^4 swap p1 for p3 into p0·p1^3·p3 and p0·p1·p3^3
+    started = time.perf_counter()
+    assert H.fiber_catenary(9) == 0 and H.fiber_catenary(10) == 2
+    assert time.perf_counter() - started < 3
 
 
 def test_krull_atoms_examples():
@@ -265,6 +276,16 @@ def test_verify_transfer_fails_on_an_image_missing_from_the_block_table():
     assert rep.failure == "length sets differ at (1, 1): (1,) vs ()"
 
 
+def test_verify_transfer_fails_on_a_nonzero_member_with_the_empty_image():
+    H = make_krull(make_group([3]), ["p", "q"], {"p": (1,), "q": (2,)})
+    image = H._image
+    # axiom (T2) is read from the length sets: a nonzero member has no length 0
+    H._image = lambda v: (0, 0) if v == (1, 1) else image(v)
+    rep = H.verify_transfer(4)
+    assert not rep.ok
+    assert rep.failure == "length sets differ at (1, 1): (1,) vs (0,)"
+
+
 def test_verify_transfer_reads_surjectivity_from_the_scanned_images():
     H = make_krull(make_group([3]), ["p", "q"], {"p": (1,), "q": (2,)})
     # a member table that skips the row of pq leaves the block member 1·2 without a preimage
@@ -321,6 +342,31 @@ def test_fiber_catenary_matches_naive_oracle():
             for members in fibers.values():
                 worst = max(worst, catenary_minimax(members))
         assert H.fiber_catenary(6) == worst, H.classes
+
+
+def random_krull_monoids(count: int, seed: int):
+    """Seeded Krull monoids with 1 to 6 primes over groups of order <= 6."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        G = make_group(rng.choice([[1], [2], [3], [4], [2, 2], [5], [6]]))
+        elements = G.elements()
+        primes = [f"p{i}" for i in range(rng.randint(1, 6))]
+        yield make_krull(G, primes, {p: rng.choice(elements) for p in primes})
+
+
+def test_fiber_catenary_from_swaps_matches_listing_on_random_monoids():
+    values, kinds = Counter(), Counter()
+    for H in random_krull_monoids(80, 20261019):
+        kinds["C1"] += H.group.cardinality == 1
+        kinds["class 0"] += H.group.zero in H.classes.values()
+        kinds["shared"] += len(H.image_classes) < len(H.primes)
+        kinds["injective"] += len(H.image_classes) == len(H.primes)
+        for bound in (4, 6):
+            value = H.fiber_catenary(bound)
+            assert value == fiber_catenary_by_listing(H, bound), (H.classes, bound)
+            values[value] += 1
+    assert min(kinds.values()) >= 5, kinds
+    assert set(values) == {0, 2} and min(values.values()) >= 40, values
 
 
 def test_count_vector_transfer_matches_public_api():

@@ -250,6 +250,15 @@ def test_tower_spec_validation():
         Tower("a", "cycle", 0, (0,))
 
 
+@pytest.mark.parametrize("name", [["T"], 5, None], ids=repr)
+def test_tower_names_must_be_strings(name):
+    with pytest.raises(InvalidSpecificationError, match="tower name must be a string"):
+        Tower(name, "cycle", 1, (1,))
+    doc = {"group": {"orders": [2]}, "towers": [{"name": name, "type": "cycle", "length": 1, "class": [1]}]}
+    with pytest.raises(InvalidSpecificationError, match="tower name must be a string"):
+        TowerSpec.from_doc(doc)
+
+
 def test_tower_spec_successors():
     spec = demo_spec()
     assert spec.unfaithful_successor("triv.0") is None
