@@ -38,6 +38,8 @@ class KrullMonoid(PresentedMonoid):
         self.primes = tuple(primes)
         if not self.primes:
             raise InvalidSpecificationError("a Krull monoid needs at least one prime")
+        if not all(isinstance(p, str) for p in self.primes):
+            raise InvalidSpecificationError(f"prime names must be strings: {self.primes}")
         if len(set(self.primes)) != len(self.primes):
             raise InvalidSpecificationError(f"prime names must be unique: {self.primes}")
         unknown = set(class_map) - set(self.primes)
@@ -141,8 +143,9 @@ class KrullMonoid(PresentedMonoid):
             raise InvalidElementError("sequences live over different groups")
         if seq.sum() != self.group.zero:
             raise NotAMemberError(f"{seq} is not a zero-sum sequence")
-        # the empty sequence splits only into two empty parts, over any letters
-        part = BlockMonoid(self.group, seq.support or self.image_classes)._sequence
+        def part(counts: Vector) -> Sequence:
+            return Sequence(self.group, tuple((g, m) for g, m in zip(seq.support, counts) if m))
+
         splits = self._two_splits(seq.support, tuple(m for _, m in seq.counts))
         return [(part(sub), part(rest)) for sub, rest in splits]
 

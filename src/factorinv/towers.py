@@ -10,6 +10,7 @@ length, class) drives the genus updates.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 
@@ -35,7 +36,8 @@ def disjoint_prefix_cover(n: int, progressions) -> list[int]:
     The construction is iterative: while some progression is contained in
     the union of the others, the redundant one of largest index is dropped
     (prefix size 0); once every progression has a private residue, each
-    prefix extends to the last private residue of its progression.
+    prefix extends to the last private residue of its progression.  Work
+    and memory grow with l, not n: residues are read in at most 2l + 1 pieces.
     """
     if not _is_int(n) or n < 1:
         raise InvalidSpecificationError(f"n must be an integer >= 1, got {n!r}")
@@ -46,54 +48,49 @@ def disjoint_prefix_cover(n: int, progressions) -> list[int]:
         if not _is_int(k) or k < 0:
             raise InvalidSpecificationError(f"progression length offset must be >= 0, got {k!r}")
         progs.append((a % n, k))
-    masks = [_run(n, a, k + 1) for a, k in progs]
-    _require_cover(n, masks, "residue {} mod {} is not covered")
+    ends, held, holders = _pieces(n, [(a, k + 1) for a, k in progs], "residue {} mod {} is not covered")
 
-    active = list(range(len(progs)))
-    while True:
-        once = twice = 0  # residues of one or more, and of two or more, active progressions
-        for i in active:
-            twice |= once & masks[i]
-            once |= masks[i]
-        redundant = [i for i in active if not masks[i] & ~twice]
-        if not redundant:
-            break
-        active.remove(redundant[-1])
-    m = [0] * len(progs)
-    for i in active:
-        # bit j of the rotated private mask is residue a + j
-        m[i] = _rotate(n, masks[i] & ~twice, -progs[i][0]).bit_length()
+    # a drop only hands pieces to the others, so no progression becomes redundant
+    # again: one pass from the largest index down drops what each round drops
+    for i in reversed(range(len(held))):
+        if all(holders[j] > 1 for j in held[i]):
+            for j in held[i]:
+                holders[j] -= 1
+            held[i] = ()
+    m = []
+    for (a, _), pieces in zip(progs, held):
+        private = [j for j in pieces if holders[j] == 1]  # in run order
+        m.append((ends[private[-1]] - a - 1) % n + 1 if private else 0)
 
     _check_prefix_cover(n, progs, m)
     return m
 
 
-def _rotate(n: int, mask: int, shift: int) -> int:
-    mask <<= shift % n
-    return (mask | mask >> n) & ((1 << n) - 1)
-
-
-def _run(n: int, a: int, size: int) -> int:
-    """The residues a, a+1, ..., a+size-1 mod n as an n-bit mask."""
-    return _rotate(n, (1 << min(size, n)) - 1, a)
-
-
-def _require_cover(n: int, masks, message: str):
-    """Raise NotACoveringError(message.format(r, n)) for the lowest residue r in no mask."""
-    missed = (1 << n) - 1
-    for mask in masks:
-        missed &= ~mask
-    if missed:
-        raise NotACoveringError(message.format((missed & -missed).bit_length() - 1, n))
+def _pieces(n: int, runs, message: str):
+    """Cut Z/nZ at 0 and at both ends of every run (a, size) of the residues
+    a, ..., a + size - 1 into sorted pieces [lo, hi).  Returns the piece ends,
+    the pieces each run holds in run order and the runs holding each piece;
+    raises NotACoveringError(message.format(r, n)) for the lowest r in no run.
+    """
+    starts = sorted({0, *(a for a, _ in runs), *((a + size) % n for a, size in runs if size < n)})
+    held, holders = [], [0] * len(starts)
+    for a, size in runs:
+        first = bisect_left(starts, a)
+        last = first if size >= n else bisect_left(starts, (a + size) % n)
+        pieces = range(first, last) if first < last else [*range(first, len(starts)), *range(last)]
+        for j in pieces:
+            holders[j] += 1
+        held.append(pieces)
+    if 0 in holders:
+        raise NotACoveringError(message.format(starts[holders.index(0)], n))
+    return starts[1:] + [n], held, holders
 
 
 def _check_prefix_cover(n, progs, m):
-    union = 0
-    for (a, k), size in zip(progs, m):
-        if not 0 <= size <= k + 1 or union & (prefix := _run(n, a, size)):
-            raise InternalConsistencyError(f"prefix selection {m} is not a partition of Z/{n}Z")
-        union |= prefix
-    if sum(m) != n or union != (1 << n) - 1:
+    # nonzero prefixes that, sorted by start, abut and sum to n tile Z/nZ once
+    prefixes = sorted((a % n, size) for (a, _), size in zip(progs, m) if size)
+    abut = all(a + size == b for (a, size), (b, _) in zip(prefixes, prefixes[1:]))
+    if not abut or sum(m) != n or any(not 0 <= size <= k + 1 for (_, k), size in zip(progs, m)):
         raise InternalConsistencyError(f"prefix selection {m} is not a partition of Z/{n}Z")
 
 
@@ -199,8 +196,8 @@ def full_cycle_quotient(module: ArcModule) -> ArcModule:
 
 def _require_covering(module: ArcModule):
     n = module.cycle_length
-    masks = [_run(n, arc.bottom - (arc.length - 1), arc.length) for arc in module.arcs]
-    _require_cover(n, masks, "class vector misses residue {} mod {}")
+    runs = [((arc.bottom - (arc.length - 1)) % n, arc.length) for arc in module.arcs]
+    _pieces(n, runs, "class vector misses residue {} mod {}")
 
 
 # -- towers and genus vectors -------------------------------------------------

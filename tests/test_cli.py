@@ -454,6 +454,27 @@ def test_towers_comb_large_n_two_halves():
     assert "prefix_sizes: [2000000, 2000000]" in out
 
 
+def test_towers_comb_at_n_ten_billion(capsys):
+    # work and memory grow with the number of arcs, not with n
+    n = "10000000000"
+    code, out = timed_capture(["towers", "comb", "--n", n, "--arcs", "0:3"])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: residue 4 mod {n} is not covered\n"
+    code, out = timed_capture(["towers", "comb", "--n", n, "--arcs", "0:9999999999,5:3"])
+    assert code == 0
+    assert f"prefix_sizes: [{n}, 0]" in out
+
+
+def test_towers_submodule_at_n_ten_billion():
+    # the long arc misses only residues 5 and 4, so the short arc keeps
+    # 7, 6, 5, 4 and the long arc the other n - 4 residues
+    n = 10_000_000_000
+    doc = {"cycle_length": n, "arcs": [{"bottom": 7, "length": 5}, {"bottom": 3, "length": n - 2}]}
+    code, out = timed_capture(["towers", "submodule", "--inline", json.dumps(doc), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["submodule"]["arcs"] == [{"bottom": 7, "length": 4}, {"bottom": 3, "length": n - 4}]
+
+
 def test_towers_submodule_of_a_long_arc():
     doc = {"cycle_length": 3, "arcs": [{"bottom": 0, "length": 5_000_000}]}
     code, out = timed_capture(["towers", "submodule", "--inline", json.dumps(doc), "--format", "json"])
@@ -462,14 +483,14 @@ def test_towers_submodule_of_a_long_arc():
 
 
 def test_out_of_memory_is_one_error_line():
-    # each n-bit residue mask at n = 10^10 needs 1.25 GB, so under a 400 MB
-    # address-space limit (set in the child only) the cover runs out of memory
+    # listing the 10^9 elements of C_(10^9) takes gigabytes, so under a 400 MB
+    # address-space limit (set in the child only) the atom walk runs out of memory
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (400 * 2**20, 400 * 2**20))
 
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["towers", "comb", "--n", "10000000000", "--arcs", "0:3"]
+    argv = ["blocks", "atoms", "--orders", "1000000000"]
     result = subprocess.run(
         [sys.executable, "-m", "factorinv.cli", *argv], env=env, capture_output=True,
         text=True, timeout=120, preexec_fn=limit_address_space,

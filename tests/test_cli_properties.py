@@ -35,10 +35,15 @@ BAD_NAMES = [
     for name in (["T"], 5)
 ]
 KRULL = {"group": {"orders": [2]}, "primes": [{"name": "p", "class": [1]}, {"name": "q", "class": [1]}]}
-# documents by action, valid but for BAD_NAMES; every other action reads a group or a block monoid
+# prime names that are not strings: each ends in one error line
+BAD_PRIMES = [
+    {"group": {"orders": [2]}, "primes": [{"name": a, "class": [1]}, {"name": b, "class": [1]}]}
+    for a, b in ((5, "5"), (None, "q"), (True, 1))
+]
+# documents by action, valid but for BAD_NAMES and BAD_PRIMES; every other action reads a group or a block monoid
 DOCUMENTS = {
-    "verify": [KRULL],
-    "fiber-catenary": [KRULL],
+    "verify": [KRULL] + BAD_PRIMES,
+    "fiber-catenary": [KRULL] + BAD_PRIMES,
     "synth": TOWERS + BAD_NAMES,
     "genus-step": TOWERS + BAD_NAMES,
     "submodule": [{"cycle_length": 2, "arcs": [{"bottom": 0, "length": 3}]}],
@@ -81,7 +86,7 @@ OPTION_VALUES = {
     "--subset": dumped(values) | text("nonzero", "all", "[[1]]"),
     "--sequence": dumped(values) | st.sampled_from(["[[1],[1]]", "[[1],[2]]", "[[1,1],[1,1]]"]),
     "--bound": st.integers(-2, 4).map(str) | st.just("x"),
-    "--n": st.integers(-1, 6).map(str) | st.sampled_from(["1000000", "4000000"]),
+    "--n": st.integers(-1, 6).map(str) | st.sampled_from(["1000000", "4000000", "10000000000"]),
     "--arcs": text("0:1,2:1", "0:3", "1:0,0:1"),
     "--genus": genus | dumped(values) | st.sampled_from(['{"udim": 1, "ranks": {"T.0": 1}}', "{"]),
     "--simple": st.sampled_from(["T.0", "T.1", "T.2", "F.0", "S.0", "x", ""]),

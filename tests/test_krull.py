@@ -53,6 +53,16 @@ def test_make_krull_c3():
     assert H.contains((1, 1, 1))
 
 
+@pytest.mark.parametrize("names", [(5, "5"), (None, "q"), (True, 1)], ids=repr)
+def test_prime_names_must_be_strings(names):
+    # checked before uniqueness: (True, 1) is not two equal names
+    with pytest.raises(InvalidSpecificationError, match=r"^prime names must be strings: "):
+        make_krull(make_group([2]), names, dict.fromkeys(names, (1,)))
+    doc = {"group": {"orders": [2]}, "primes": [{"name": name, "class": [1]} for name in names]}
+    with pytest.raises(InvalidSpecificationError, match=r"^prime names must be strings: "):
+        KrullMonoid.from_doc(doc)
+
+
 def test_make_krull_validation():
     G = make_group([2])
     with pytest.raises(InvalidSpecificationError):
