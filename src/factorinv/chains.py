@@ -21,9 +21,14 @@ from .errors import (
     InvalidSpecificationError,
     LabelMultisetError,
     NonPrincipalBoundError,
+    TruncatedEnumerationError,
     UnknownBuiltinError,
 )
 from .factorize import _lengths, _multiset_distance
+
+# rigid_factorizations lists at most this many chains; callers such as the CLI
+# then compare every pair of them
+MAX_CHAINS = 500
 
 
 @dataclass(frozen=True)
@@ -50,7 +55,7 @@ class IdealLattice:
     node its descendant bitset, its label counts below the top and its
     principal covers, so later queries are lookups.  Validation takes
     O(V + E) steps on V-bit sets; chains cost their total length to list,
-    and ``length_set`` does not list them.
+    at most MAX_CHAINS of them, and ``length_set`` does not list them.
     """
 
     def __init__(self, simples, nodes, covers, top, bottom):
@@ -215,7 +220,8 @@ class IdealLattice:
 
         Maximality means no principal node lies strictly between consecutive
         chain nodes, so each step is an atom; its label multiset is the
-        interval's composition-factor multiset.
+        interval's composition-factor multiset.  A lattice with more than
+        MAX_CHAINS of them raises TruncatedEnumerationError during the walk.
         """
         if self._chains is None:
             chains, path, steps = [], [], []
@@ -226,6 +232,9 @@ class IdealLattice:
                 path.append(node)
                 steps.append(step)
                 if node == self.top:
+                    if len(chains) == MAX_CHAINS:
+                        raise TruncatedEnumerationError(
+                            f"lattice has more than {MAX_CHAINS} maximal principal chains")
                     chains.append(Chain(tuple(path), tuple(steps[1:]), self))
                 for upper in self._covers_above[node]:
                     labels = tuple(sorted(self.interval_labels(upper, node).elements()))

@@ -11,6 +11,7 @@ error, 2 property violation found by a verify subcommand.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -333,11 +334,14 @@ def _render(command: Command, fields: dict, fmt: str, out) -> None:
     out.write("".join(f"{line}\n" for line in lines + body))
 
 
-def build_parser() -> _Parser:
+def build_parser(commands=COMMANDS) -> _Parser:
+    """The argparse tree of the given commands, all of them by default.
+    A tree of one command parses, rejects and helps on that command's argv
+    exactly as the full tree does."""
     parser = _Parser(prog="factorinv", description=__doc__)
     topics = parser.add_subparsers(dest="topic", required=True)
     actions = {}
-    for command in COMMANDS:
+    for command in commands:
         if command.topic not in actions:
             topic = topics.add_parser(command.topic)
             actions[command.topic] = topic.add_subparsers(dest="action", required=True)
@@ -357,9 +361,12 @@ def build_parser() -> _Parser:
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the named command's parser alone; the full tree when argv names no command
+    parser = build_parser([c for c in COMMANDS if [c.topic, c.action] == argv[:2]] or COMMANDS)
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out):  # --help writes to out and exits 0
+            args = parser.parse_args(argv)
         if args.threads < 1:
             raise CliUsageError("--threads must be >= 1")
         fields, code = _execute(args.command, args)
@@ -369,6 +376,8 @@ def run(argv=None, out=None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # after --help
+        return exc.code
     _render(args.command, fields, args.format, out)
     return code
 

@@ -440,3 +440,24 @@ class ExhaustiveLattice:
 
         climb([self.bottom])
         return sorted(out)
+
+
+def principal_grid(rows: int, cols: int) -> dict:
+    """Lattice document of the product of two chains with every node
+    principal: its maximal principal chains are the lattice paths, so there
+    are C(rows + cols - 2, rows - 1) of them, each of length rows + cols - 2."""
+
+    def node(i, j):
+        return f"g{i}.{j}"
+
+    down = [{"upper": node(i, j), "lower": node(i + 1, j), "label": "a"}
+            for i in range(rows - 1) for j in range(cols)]
+    across = [{"upper": node(i, j), "lower": node(i, j + 1), "label": "b"}
+              for i in range(rows) for j in range(cols - 1)]
+    return {
+        "simples": ["a", "b"],
+        "nodes": [{"id": node(i, j), "principal": True} for i in range(rows) for j in range(cols)],
+        "covers": down + across,
+        "top": node(0, 0),
+        "bottom": node(rows - 1, cols - 1),
+    }

@@ -5,6 +5,7 @@ import pytest
 
 from factorinv.chains import (
     BUILTIN_NAMES,
+    MAX_CHAINS,
     IdealLattice,
     builtin,
     composition_distance,
@@ -17,10 +18,11 @@ from factorinv.errors import (
     LabelMultisetError,
     LatticeValidationError,
     NonPrincipalBoundError,
+    TruncatedEnumerationError,
     UnknownBuiltinError,
 )
 
-from oracles import ExhaustiveLattice
+from oracles import ExhaustiveLattice, principal_grid
 
 
 def total_order(labels=("s", "s"), principal=(True, True, True)):
@@ -341,3 +343,15 @@ def test_deep_total_order_needs_no_recursion():
     assert lattice.length_set() == (1499,)
     (chain,) = lattice.rigid_factorizations()
     assert chain.nodes == tuple(f"n{i}" for i in reversed(range(1500)))
+
+
+def test_chains_are_capped_while_they_are_listed():
+    assert MAX_CHAINS == 500
+    assert len(load_lattice(principal_grid(6, 6)).rigid_factorizations()) == 252
+    for size in (7, 32):  # C(12, 6) = 924 chains, and C(62, 31) ≈ 4.65e17
+        lattice = load_lattice(principal_grid(size, size))
+        with pytest.raises(TruncatedEnumerationError, match="^lattice has more than 500 maximal principal chains$"):
+            lattice.rigid_factorizations()
+        assert lattice._chains is None  # nothing cached from a cut walk
+        assert lattice.length_set() == (2 * size - 2,)  # uncapped: it lists no chains
+        assert lattice.composition_length() == 2 * size - 2

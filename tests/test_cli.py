@@ -11,6 +11,8 @@ import pytest
 
 from factorinv.cli import run
 
+from oracles import principal_grid
+
 
 def capture(argv):
     buf = io.StringIO()
@@ -496,3 +498,24 @@ def test_out_of_memory_is_one_error_line():
         text=True, timeout=120, preexec_fn=limit_address_space,
     )
     assert (result.returncode, result.stdout, result.stderr) == (1, "", "error: out of memory\n")
+
+
+def test_chains_analyze_caps_the_chains(capsys):
+    code, out = capture(["chains", "analyze", "--inline", json.dumps(principal_grid(6, 6)), "--format", "json"])
+    assert code == 0
+    assert len(json.loads(out)["chains"]) == 252
+    for size in (7, 32):  # C(12, 6) = 924 chains, and C(62, 31) ≈ 4.65e17
+        start = time.perf_counter()
+        code, out = capture(["chains", "analyze", "--inline", json.dumps(principal_grid(size, size))])
+        assert time.perf_counter() - start < 2
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: lattice has more than 500 maximal principal chains\n"
+
+
+def test_console_script_help_goes_to_stdout_with_exit_0():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "factorinv.cli", "towers", "comb", "--help"],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0 and result.stderr == ""
+    assert result.stdout.startswith("usage: factorinv towers comb")

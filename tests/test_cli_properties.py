@@ -1,15 +1,22 @@
-"""Property test of the CLI's error surface: whatever argv is drawn from the
-command table, ``run()`` returns 0, 1 or 2 without raising, and exit code 1
-comes with exactly one ``error:`` line on stderr."""
+"""Property tests of the CLI: whatever argv is drawn from the command table,
+``run()`` returns 0, 1 or 2 without raising, and exit code 1 comes with
+exactly one ``error:`` line on stderr; and the parser ``run()`` builds for
+an argv parses, rejects and helps on it exactly as the full tree does."""
 
+import argparse
 import contextlib
 import io
 import json
+from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from factorinv.cli import COMMANDS, FLAGS, run
+from factorinv import cli
+from factorinv.cli import COMMANDS, FLAGS, CliUsageError, build_parser, run
+
+from oracles import principal_grid
 
 # keys of every document kind, so drawn objects can come close to valid ones
 KEYS = [
@@ -47,7 +54,7 @@ DOCUMENTS = {
     "synth": TOWERS + BAD_NAMES,
     "genus-step": TOWERS + BAD_NAMES,
     "submodule": [{"cycle_length": 2, "arcs": [{"bottom": 0, "length": 3}]}],
-    "analyze": [LATTICE],
+    "analyze": [LATTICE, principal_grid(7, 7)],  # 924 chains, over the cap
 }
 GROUPS = [{"orders": [2, 2]}, {"group": {"orders": [4]}, "subset": [[1], [3]]}]
 
@@ -98,8 +105,26 @@ OPTION_VALUES = {
 CHANCE = {"--inline": 6, "--spec": 1}
 
 
+HELP = st.sampled_from(["-h", "--help", "--he"])
+TOPICS = sorted({command.topic for command in COMMANDS})
+
+
+@st.composite
+def prefix_argvs(draw):
+    """Argvs that name no command: help or a usage error from above one, or
+    an action under another topic or under none."""
+    command = draw(st.sampled_from(COMMANDS))
+    topic = draw(st.sampled_from(TOPICS))
+    return draw(st.sampled_from([
+        [], [topic], [topic, "--help"], ["--help"], ["--format", "json", command.topic, command.action],
+        [topic, command.action], [topic, "nosuch"], [command.action],
+    ]))
+
+
 @st.composite
 def argvs(draw):
+    if draw(st.integers(0, 7)) == 0:
+        return draw(prefix_argvs())
     command = draw(st.sampled_from(COMMANDS))
     flags = [(names[0], kw) for flag in command.flags for names, kw in FLAGS[flag]]
     flags += [("--bound", {})] * bool(command.bound) + [("--format", {}), ("--threads", {})]
@@ -116,6 +141,8 @@ def argvs(draw):
             argv += [option, draw(document(DOCUMENTS.get(command.action, GROUPS)))]
         else:
             argv += [option, draw(OPTION_VALUES[option])]
+    if draw(st.integers(0, 7)) == 0:
+        argv.insert(draw(st.integers(2, len(argv))), draw(HELP))
     return argv
 
 
@@ -130,3 +157,54 @@ def test_run_never_raises_and_errors_are_one_line(argv):
     if code == 1:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
+
+
+class Built(Exception):
+    """Carries the parser that ``run()`` built, before it parses anything."""
+
+
+def parser_run_builds(argv):
+    def build(commands=COMMANDS):
+        raise Built(build_parser(commands))
+
+    with mock.patch.object(cli, "build_parser", build), pytest.raises(Built) as built:
+        run(argv)
+    return built.value.args[0]
+
+
+def outcome(parser, argv):
+    """The namespace, the usage error, or the help text and exit code."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return "namespace", vars(parser.parse_args(argv))
+    except CliUsageError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "help", exc.code, out.getvalue()
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argvs())
+def test_the_parser_run_builds_acts_as_the_full_tree(argv):
+    assert outcome(parser_run_builds(argv), argv) == outcome(build_parser(), argv)
+
+
+def subparser(parser, name):
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+LEVELS = [[]] + [[topic] for topic in TOPICS] + [[c.topic, c.action] for c in COMMANDS]
+
+
+@pytest.mark.parametrize("level", LEVELS, ids=lambda level: " ".join(level) or "top")
+def test_help_at_every_level_is_the_full_trees_and_goes_to_out(level, capsys):
+    expected = build_parser()
+    for name in level:
+        expected = subparser(expected, name)
+    out = io.StringIO()
+    assert run(level + ["--help"], out=out) == 0
+    assert out.getvalue() == expected.format_help()
+    assert capsys.readouterr() == ("", "")
