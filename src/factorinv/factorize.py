@@ -32,6 +32,8 @@ Vector = tuple[int, ...]
 
 #: Cap on the number of factorizations enumerated for a single element.
 DEFAULT_FACTORIZATION_LIMIT = 1_000_000
+#: Cap on the factorizations ``catenary_of`` lists, as its Prim step is quadratic in their number.
+CATENARY_FACTORIZATION_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -285,10 +287,10 @@ class PresentedMonoid:
         """Bottleneck connectivity threshold of the factorization graph of ``v``.
 
         Equals the catenary degree in the permutable distance; 0 when the
-        factorization is unique.
+        factorization is unique; raises past CATENARY_FACTORIZATION_LIMIT factorizations.
         """
         v = self.check_member(v)
-        return _bottleneck(self._factorizations_from(v, 0))
+        return _bottleneck(self._factorizations_from(v, 0, CATENARY_FACTORIZATION_LIMIT))
 
     def _members(self, size_bound: int) -> Iterator[tuple[Vector, int, int, dict]]:
         """The member table: (v, mask, lengths, below) per member v of 1-norm

@@ -13,8 +13,10 @@ same zero-sum-free walk as the block atoms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import getitem, mul, sub
 from typing import Optional
 
 from .abelian import FinAbGroup, _zero_sum_test
@@ -118,18 +120,14 @@ class KrullMonoid(PresentedMonoid):
         pieces: list[Vector] = []
         for part in parts:
             piece = [0] * len(v)
-            for slot, needed in enumerate(part):
-                for i in self._slot_primes[slot]:
-                    if needed == 0:
-                        break
-                    take = min(needed, remaining[i])
-                    piece[i] = take
-                    remaining[i] -= take
-                    needed -= take
-                if needed:
+            for slot, (needed, primes) in enumerate(zip(part, self._slot_primes)):
+                takes = _first_fit([remaining[i] for i in primes], needed)
+                if sum(takes) != needed:
                     raise InternalConsistencyError(
                         f"cannot realize class {self.image_classes[slot]!r} with the remaining primes"
                     )
+                for i, take in zip(primes, takes):
+                    piece[i], remaining[i] = take, remaining[i] - take
             pieces.append(tuple(piece))
         if any(remaining):
             raise InternalConsistencyError("primes left over after assigning all blocks")
@@ -146,18 +144,14 @@ class KrullMonoid(PresentedMonoid):
         def part(counts: Vector) -> Sequence:
             return Sequence(self.group, tuple((g, m) for g, m in zip(seq.support, counts) if m))
 
-        splits = self._two_splits(seq.support, tuple(m for _, m in seq.counts))
-        return [(part(sub), part(rest)) for sub, rest in splits]
+        counts = tuple(m for _, m in seq.counts)
+        lefts = self._two_splits(seq.support, counts)
+        return [(part(left), part(tuple(map(sub, counts, left)))) for left in lefts]
 
-    def _two_splits(self, classes, counts) -> list[tuple[Vector, Vector]]:
-        """(sub, counts - sub) for every zero-sum sub-count vector of
-        ``counts`` over ``classes``, in lexicographic order of ``sub``."""
+    def _two_splits(self, classes, counts) -> list[Vector]:
+        """The zero-sum sub-count vectors of ``counts`` over ``classes``, in lexicographic order."""
         is_zero_sum = _zero_sum_test(self.group, classes)
-        return [
-            (sub, tuple(m - k for m, k in zip(counts, sub)))
-            for sub in itertools.product(*(range(m + 1) for m in counts))
-            if is_zero_sum(sub)
-        ]
+        return list(filter(is_zero_sum, itertools.product(*(range(m + 1) for m in counts))))
 
     def verify_transfer(self, size_bound: int) -> "TransferReport":
         """Exhaustively check the transfer properties up to a size bound.
@@ -171,10 +165,25 @@ class KrullMonoid(PresentedMonoid):
         Stops at the first violation.  Length sets come from the member
         tables of both monoids; images are class counts over
         ``image_classes``, the block monoid's coordinates, in its scan order.
+        First fit takes a split's piece of a class slot by its count k there
+        and v's exponents on the slot's primes alone: rows kept per (slot,
+        exponents) for the call hold per k the codes (base size_bound + 1, no
+        carries) of the pieces taking k and the rest, and the count the first
+        took.  A split sums its slots' rows: b + c must be v, b's counts the split.
         """
         images = {w: lengths for w, _, lengths, _ in self._blocks.presented()._members(size_bound)}
+        weights = [(size_bound + 1) ** i for i in range(len(self.primes))]
         elements = splits = 0
         split_cache: dict[Vector, list] = {}
+
+        @functools.cache  # the rows of each (slot, exponents), for this call
+        def slot_rows(slot: int, have: Vector) -> tuple[list, list, list]:
+            slot_weights, total = [weights[i] for i in self._slot_primes[slot]], sum(have)
+            b_pieces = [_first_fit(have, k) for k in range(total + 1)]
+            c_pieces = [_first_fit(list(map(sub, have, b)), total - k) for k, b in enumerate(b_pieces)]
+            codes = ([sum(map(mul, p, slot_weights)) for p in pieces] for pieces in (b_pieces, c_pieces))
+            return *codes, list(map(sum, b_pieces))
+
         for elements, (v, _, mine, _) in enumerate(self._members(size_bound), 1):
             image = self._image(v)
             theirs = images.get(image, 0)  # an image missing from the table has no lengths
@@ -185,12 +194,14 @@ class KrullMonoid(PresentedMonoid):
                 )
             if image not in split_cache:
                 split_cache[image] = self._two_splits(self.image_classes, image)
-            for left, right in split_cache[image]:
+            slots = enumerate(self._slot_primes)
+            b_rows, c_rows, taken = zip(*(slot_rows(s, tuple(v[i] for i in primes)) for s, primes in slots))
+            code = sum(map(mul, v, weights))
+            for left in split_cache[image]:
                 splits += 1
-                b, c = self._lift(v, (left, right))
-                if tuple(x + y for x, y in zip(b, c)) != v:
+                if sum(map(getitem, b_rows, left)) + sum(map(getitem, c_rows, left)) != code:
                     return TransferReport(False, elements, splits, f"lift of {v} does not multiply back")
-                if self._image(b) != left or self._image(c) != right:
+                if tuple(map(getitem, taken, left)) != left:
                     return TransferReport(False, elements, splits, f"lift of {v} has wrong images")
         for surjectivity, target in enumerate(images, 1):
             if target not in split_cache:
@@ -228,6 +239,18 @@ class TransferReport:
     splits_checked: int
     failure: Optional[str] = None
     surjectivity_checked: int = 0
+
+
+def _first_fit(have, needed: int) -> list[int]:
+    """What first fit takes from each count of ``have`` towards ``needed`` (short when too few)."""
+    takes = [0] * len(have)
+    for i, m in enumerate(have):
+        if needed <= m:
+            takes[i] = needed
+            break
+        takes[i] = m
+        needed -= m
+    return takes
 
 
 def make_krull(group: FinAbGroup, primes, class_map: dict) -> KrullMonoid:

@@ -20,6 +20,7 @@ from factorinv.errors import (
     NonPrincipalBoundError,
     NotACoveringError,
 )
+from factorinv.krull import TransferReport
 
 
 def submultiset_sums(group: FinAbGroup, elements) -> set:
@@ -237,6 +238,47 @@ def first_fit_lift(monoid, v, blocks) -> list[tuple[int, ...]]:
                     needed -= take
         pieces.append(tuple(piece))
     return pieces
+
+
+def transfer_report_by_lifting(monoid, bound: int, lift=first_fit_lift):
+    """A Krull monoid's transfer report up to a bound with every split lifted
+    on its own: members in (norm, lex) order, each compared by the length
+    sets of the single-element walks of the monoid and of the block monoid;
+    each public 2-split of its image lifted by ``lift`` and checked to
+    multiply back and to have the split's class counts; then the first block
+    member that no member maps to."""
+    blocks = monoid.block_monoid()
+    presented = blocks.presented()
+    classes = [monoid.classes[p] for p in monoid.primes]
+
+    def class_counts(piece):
+        counts: dict = {}
+        for g, m in zip(classes, piece):
+            if m:
+                counts[g] = counts.get(g, 0) + m
+        return tuple(sorted(counts.items()))
+
+    elements = splits = surjectivity = 0
+    two_splits: dict = {}  # image -> its public 2-splits
+    for elements, v in enumerate(monoid.elements(bound), 1):
+        image = monoid.beta(v)
+        mine, theirs = monoid.length_set(v), presented.length_set(blocks.vector_of(image))
+        if mine != theirs:
+            return TransferReport(False, elements, splits, f"length sets differ at {v}: {mine} vs {theirs}")
+        if image not in two_splits:
+            two_splits[image] = monoid.two_splits(image)
+        for left, right in two_splits[image]:
+            splits += 1
+            b, c = lift(monoid, v, [left, right])
+            if tuple(x + y for x, y in zip(b, c)) != v:
+                return TransferReport(False, elements, splits, f"lift of {v} does not multiply back")
+            if class_counts(b) != left.counts or class_counts(c) != right.counts:
+                return TransferReport(False, elements, splits, f"lift of {v} has wrong images")
+    for surjectivity, w in enumerate(presented.elements(bound), 1):
+        if blocks.sequence_of(w) not in two_splits:
+            failure = f"no preimage found for {blocks.sequence_of(w)}"
+            return TransferReport(False, elements, splits, failure, surjectivity)
+    return TransferReport(True, elements, splits, None, surjectivity)
 
 
 def krull_atoms_by_expansion(monoid) -> list[tuple[int, ...]]:

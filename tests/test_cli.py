@@ -512,6 +512,20 @@ def test_chains_analyze_caps_the_chains(capsys):
         assert capsys.readouterr().err == "error: lattice has more than 500 maximal principal chains\n"
 
 
+def test_blocks_lengths_caps_the_listed_factorizations(capsys):
+    def sequence(m):  # 1^m·2^m·...·6^m over C7
+        return json.dumps([[g] for g in range(1, 7) for _ in range(m)])
+
+    code, out = capture(["blocks", "lengths", "--orders", "7", "--sequence", sequence(3), "--format", "json"])
+    assert code == 0 and json.loads(out)["catenary"] == 3  # 263 factorizations
+    for m in (4, 5):  # 2,751 factorizations, and more
+        start = time.perf_counter()
+        code, out = capture(["blocks", "lengths", "--orders", "7", "--sequence", sequence(m)])
+        assert time.perf_counter() - start < 2
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == "error: element has more than 1000 factorizations\n"
+
+
 def test_console_script_help_goes_to_stdout_with_exit_0():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

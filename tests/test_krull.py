@@ -14,7 +14,8 @@ from factorinv.errors import (
     NotAMemberError,
 )
 from factorinv.factorize import Factorization, PresentedMonoid
-from factorinv.krull import KrullMonoid, make_krull, synth_hnp
+from factorinv import krull
+from factorinv.krull import KrullMonoid, TransferReport, make_krull, synth_hnp
 from factorinv.towers import Tower, TowerSpec
 
 from conftest import abelian_groups_up_to
@@ -24,6 +25,7 @@ from oracles import (
     first_fit_lift,
     krull_atoms_by_expansion,
     naive_factorizations,
+    transfer_report_by_lifting,
 )
 from test_acceptance import krull_batch
 
@@ -385,14 +387,94 @@ def test_count_vector_transfer_matches_public_api():
         for v in H.elements(6):
             image = H._image(v)
             assert image == B.vector_of(H.beta(v))
-            splits = H._two_splits(H.image_classes, image)
-            assert splits == sorted(splits)
+            lefts = H._two_splits(H.image_classes, image)
+            assert lefts == sorted(lefts)
+            splits = [(left, tuple(m - k for m, k in zip(image, left))) for left in lefts]
             public = H.two_splits(H.beta(v))
             assert [(B.sequence_of(l), B.sequence_of(r)) for l, r in splits] == public
             for (left, right), blocks in zip(splits, public):
                 lift = H._lift(v, (left, right))
                 assert lift == H.lift_factorization(v, list(blocks))
                 assert lift == first_fit_lift(H, v, blocks)
+
+
+def test_verify_transfer_equals_lifting_every_split():
+    for H in [*krull_batch(), *random_krull_monoids(80, 20261019)]:
+        assert H.verify_transfer(6) == transfer_report_by_lifting(H, 6), H.classes
+
+
+def test_verify_transfer_equals_lifting_every_split_with_six_primes_per_class():
+    primes = [f"p{i}" for i in range(12)]
+    H = make_krull(make_group([9]), primes, {p: (1 + i % 2,) for i, p in enumerate(primes)})
+    report = H.verify_transfer(8)
+    assert report == transfer_report_by_lifting(H, 8) == TransferReport(True, 13937, 27873, None, 5)
+
+
+def one_more(takes, have):
+    """One unit more, from the first count that has one to spare."""
+    takes[next(j for j, (t, m) in enumerate(zip(takes, have)) if t < m)] += 1
+
+
+def one_short(takes, have):
+    """One unit less, from the last count taken from."""
+    takes[max(j for j, t in enumerate(takes) if t)] -= 1
+
+
+def lift_with(fault, exponents, count):
+    """First fit, except that the piece that takes ``count`` units of a class
+    whose primes hold ``exponents`` in the member suffers ``fault``; the
+    next piece then takes what first fit can of the rest, leaving its last units."""
+
+    def lift(H, v, blocks):
+        b, c = map(list, first_fit_lift(H, v, blocks))
+        for g in H.image_classes:
+            primes = [i for i, p in enumerate(H.primes) if H.classes[p] == g]
+            if tuple(v[i] for i in primes) != exponents or sum(b[i] for i in primes) != count:
+                continue
+            taken = [b[i] for i in primes]
+            fault(taken, exponents)
+            rest = [m - t for m, t in zip(exponents, taken)]
+            surplus = sum(rest) - (sum(exponents) - count)
+            for j in reversed(range(len(rest))):
+                drop = min(max(surplus, 0), rest[j])
+                rest[j] -= drop
+                surplus -= drop
+            for i, t, r in zip(primes, taken, rest):
+                b[i], c[i] = t, r
+        return tuple(b), tuple(c)
+
+    return lift
+
+
+@pytest.mark.parametrize("fault, failure", [(one_more, "has wrong images"), (one_short, "does not multiply back")])
+@pytest.mark.parametrize("exponents, count", [((2, 1), 2), ((1, 2), 2), ((1, 0, 2), 2)])
+def test_a_wrong_first_fit_piece_fails_where_lifting_every_split_does(monkeypatch, fault, failure, exponents, count):
+    first_fit = krull._first_fit
+
+    def faulty(have, needed):
+        takes = first_fit(have, needed)
+        if tuple(have) == exponents and needed == count:
+            fault(takes, have)
+        return takes
+
+    monkeypatch.setattr(krull, "_first_fit", faulty)
+    failed = 0
+    for H in criterion_monoids():
+        report = H.verify_transfer(6)
+        assert report == transfer_report_by_lifting(H, 6, lift_with(fault, exponents, count)), H.classes
+        if not report.ok:
+            assert report.failure.endswith(failure) and report.splits_checked > 1
+            failed += 1
+    assert failed
+
+
+def test_verify_transfer_bounds():
+    H = c2_monoid()
+    for bound in (True, False, 2.0):
+        with pytest.raises(InvalidSpecificationError, match="^a size bound must be an integer"):
+            H.verify_transfer(bound)
+    assert H.verify_transfer(-1) == H.verify_transfer(-3) == TransferReport(True, 0, 0, None, 0)
+    assert H.verify_transfer(0) == TransferReport(True, 1, 1, None, 1)
 
 
 def test_catenary_equals_block_catenary_or_two():
