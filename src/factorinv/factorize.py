@@ -212,7 +212,8 @@ class PresentedMonoid:
         Every key the walk reaches maps its factorizations injectively into
         those of ``v`` (prefix the atoms taken on the way), so a key with more
         than ``limit`` of them raises as soon as it is combined; a root cached
-        by an earlier call is checked on return."""
+        by an earlier call is checked on return.  A refused walk drops the
+        keys it added to the memo (``_evaluate`` only inserts, in order)."""
 
         def capped(out):
             if limit is not None and len(out) > limit:
@@ -235,7 +236,13 @@ class PresentedMonoid:
                         out.append(((j, 1),) + tail)
             return capped(tuple(out))
 
-        return capped(_evaluate((v, start), self._fact_cache, children, combine, ((),)))
+        known = len(self._fact_cache)
+        try:
+            return capped(_evaluate((v, start), self._fact_cache, children, combine, ((),)))
+        except TruncatedEnumerationError:
+            for key in list(self._fact_cache)[known:]:
+                del self._fact_cache[key]
+            raise
 
     def length_set(self, v) -> tuple[int, ...]:
         """Sorted set of factorization lengths of ``v``.

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import getitem, mul, sub
+from operator import sub
 from typing import Optional
 
 from .abelian import FinAbGroup, _zero_sum_test
@@ -109,6 +109,8 @@ class KrullMonoid(PresentedMonoid):
         product = Sequence.empty(self.group)
         for block in blocks:
             product = product * block
+            if block.sum() != self.group.zero:
+                raise NotAMemberError(f"{block} is not a zero-sum sequence")
         if product != self._blocks._sequence(self._image(v)):
             raise InvalidSpecificationError("blocks do not multiply to the class image of the element")
         return self._lift(v, [self._blocks.vector_of(block) for block in blocks])
@@ -165,44 +167,42 @@ class KrullMonoid(PresentedMonoid):
         Stops at the first violation.  Length sets come from the member
         tables of both monoids; images are class counts over
         ``image_classes``, the block monoid's coordinates, in its scan order.
-        First fit takes a split's piece of a class slot by its count k there
-        and v's exponents on the slot's primes alone: rows kept per (slot,
-        exponents) for the call hold per k the codes (base size_bound + 1, no
-        carries) of the pieces taking k and the rest, and the count the first
-        took.  A split sums its slots' rows: b + c must be v, b's counts the split.
+        The slots partition the primes, so a split's first-fit lift is its
+        slots' rows side by side (for exponents ``have`` and a count k, the
+        pieces that take k and the rest); each row is checked once per call.
         """
         images = {w: lengths for w, _, lengths, _ in self._blocks.presented()._members(size_bound)}
-        weights = [(size_bound + 1) ** i for i in range(len(self.primes))]
         elements = splits = 0
         split_cache: dict[Vector, list] = {}
 
-        @functools.cache  # the rows of each (slot, exponents), for this call
-        def slot_rows(slot: int, have: Vector) -> tuple[list, list, list]:
-            slot_weights, total = [weights[i] for i in self._slot_primes[slot]], sum(have)
-            b_pieces = [_first_fit(have, k) for k in range(total + 1)]
-            c_pieces = [_first_fit(list(map(sub, have, b)), total - k) for k, b in enumerate(b_pieces)]
-            codes = ([sum(map(mul, p, slot_weights)) for p in pieces] for pieces in (b_pieces, c_pieces))
-            return *codes, list(map(sum, b_pieces))
+        @functools.cache  # for this call: count -> failure, over the rows of ``have``
+        def failing_rows(have: Vector) -> dict[int, str]:
+            total, failing = sum(have), {}
+            for k in range(total + 1):
+                b = _first_fit(have, k)
+                rest = list(map(sub, have, b))
+                if _first_fit(rest, total - k) != rest:
+                    failing[k] = "does not multiply back"
+                elif sum(b) != k:
+                    failing[k] = "has wrong images"
+            return failing
 
         for elements, (v, _, mine, _) in enumerate(self._members(size_bound), 1):
             image = self._image(v)
             theirs = images.get(image, 0)  # an image missing from the table has no lengths
             if mine != theirs:
-                return TransferReport(
-                    False, elements, splits,
-                    f"length sets differ at {v}: {_lengths(mine)} vs {_lengths(theirs)}",
-                )
+                failure = f"length sets differ at {v}: {_lengths(mine)} vs {_lengths(theirs)}"
+                return TransferReport(False, elements, splits, failure)
             if image not in split_cache:
                 split_cache[image] = self._two_splits(self.image_classes, image)
-            slots = enumerate(self._slot_primes)
-            b_rows, c_rows, taken = zip(*(slot_rows(s, tuple(v[i] for i in primes)) for s, primes in slots))
-            code = sum(map(mul, v, weights))
-            for left in split_cache[image]:
-                splits += 1
-                if sum(map(getitem, b_rows, left)) + sum(map(getitem, c_rows, left)) != code:
-                    return TransferReport(False, elements, splits, f"lift of {v} does not multiply back")
-                if tuple(map(getitem, taken, left)) != left:
-                    return TransferReport(False, elements, splits, f"lift of {v} has wrong images")
+            rows = [failing_rows(tuple(v[i] for i in primes)) for primes in self._slot_primes]
+            if not any(rows):
+                splits += len(split_cache[image])
+                continue
+            for splits, left in enumerate(split_cache[image], splits + 1):
+                failures = [row[k] for row, k in zip(rows, left) if k in row]
+                if failures:  # "does not multiply back" sorts first, and wins
+                    return TransferReport(False, elements, splits, f"lift of {v} {min(failures)}")
         for surjectivity, target in enumerate(images, 1):
             if target not in split_cache:
                 failure = f"no preimage found for {self._blocks._sequence(target)}"

@@ -144,6 +144,9 @@ def test_factorizations_limit_is_enforced_while_enumerating():
         with pytest.raises(TruncatedEnumerationError):
             P.factorizations(v, limit=limit)
         assert all(len(entry) <= limit for entry in P._fact_cache.values())
+        # a refused walk keeps none of its memo, and a later call is unaffected
+        assert P._fact_cache == {}
+        assert P.factorizations(v, limit=None) == full
     for limit in (len(full), len(full) + 1):
         assert block_presented([6])[1].factorizations(v, limit=limit) == full
     # a root cached by an unlimited call is still checked

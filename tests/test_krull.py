@@ -251,6 +251,17 @@ def test_lift_factorization_rejects_wrong_blocks():
         H.lift_factorization((1, 1), [bad])
 
 
+def test_lift_factorization_rejects_blocks_that_are_not_zero_sum():
+    G = make_group([3])
+    H = make_krull(G, ["p", "q"], {"p": (1,), "q": (2,)})
+    halves = [Sequence.from_counts(G, {(1,): 1}), Sequence.from_counts(G, {(2,): 1})]
+    with pytest.raises(NotAMemberError, match="^1 is not a zero-sum sequence$"):
+        H.lift_factorization((1, 1), halves)
+    # the group is checked first
+    with pytest.raises(InvalidElementError, match="different groups"):
+        H.lift_factorization((1, 1), [Sequence.from_counts(make_group([4]), {(1,): 1}), *halves])
+
+
 def test_verify_transfer_factorial():
     G = make_group([3])
     H = make_krull(G, ["p", "q"], {"p": (0,), "q": (0,)})
@@ -420,13 +431,13 @@ def one_short(takes, have):
     takes[max(j for j, t in enumerate(takes) if t)] -= 1
 
 
-def lift_with(fault, exponents, count):
-    """First fit, except that the piece that takes ``count`` units of a class
-    whose primes hold ``exponents`` in the member suffers ``fault``; the
-    next piece then takes what first fit can of the rest, leaving its last units."""
+def lift_with(fault, exponents, count, base=first_fit_lift):
+    """``base`` (first fit by default), except that the piece that takes ``count`` units
+    of a class whose primes hold ``exponents`` in the member suffers ``fault``;
+    the next piece then takes what first fit can of the rest, leaving its last units."""
 
     def lift(H, v, blocks):
-        b, c = map(list, first_fit_lift(H, v, blocks))
+        b, c = map(list, base(H, v, blocks))
         for g in H.image_classes:
             primes = [i for i, p in enumerate(H.primes) if H.classes[p] == g]
             if tuple(v[i] for i in primes) != exponents or sum(b[i] for i in primes) != count:
@@ -466,6 +477,72 @@ def test_a_wrong_first_fit_piece_fails_where_lifting_every_split_does(monkeypatc
             assert report.failure.endswith(failure) and report.splits_checked > 1
             failed += 1
     assert failed
+
+
+def first_fit_with(monkeypatch, faults):
+    """Patch ``krull._first_fit`` so that the row ``(exponents, count)`` of
+    each fault suffers it; returns the list of rows that the patch reached."""
+    first_fit, reached = krull._first_fit, []
+
+    def faulty(have, needed):
+        takes = first_fit(have, needed)
+        if (tuple(have), needed) in faults:
+            faults[tuple(have), needed](takes, have)
+            reached.append((tuple(have), needed))
+        return takes
+
+    monkeypatch.setattr(krull, "_first_fit", faulty)
+    return reached
+
+
+@pytest.mark.parametrize("fault", [one_more, one_short])
+def test_a_wrong_row_that_no_split_reads_passes(monkeypatch, fault):
+    # over C2 a class count of 1 is not zero-sum, so no 2-split reads the row
+    # of count 1, though the member (1, 1) computes it
+    H = c2_monoid()
+    reached = first_fit_with(monkeypatch, {((1, 1), 1): fault})
+    report = H.verify_transfer(8)
+    assert reached and report.ok
+    assert report == transfer_report_by_lifting(H, 8, lift_with(fault, (1, 1), 1))
+
+
+@pytest.mark.parametrize("single", [(1,), (2,)])
+def test_a_split_reading_two_wrong_rows_does_not_multiply_back(monkeypatch, single):
+    # p^3 q2^3 is the first member whose splits read the row ((3,), 2) of p's
+    # class and the only one that reads ((0, 3), 2) of the class of q1 and q2; its
+    # split (2, 2) reads both, with p's class in the first or the second slot
+    G = make_group([3])
+    other = (3 - single[0],)
+    H = make_krull(G, ["p", "q1", "q2"], {"p": single, "q1": other, "q2": other})
+    faults = {((3,), 2): one_more, ((0, 3), 2): one_short}
+    alone = []
+    for row, fault in faults.items():
+        first_fit_with(monkeypatch, {row: fault})
+        alone.append(H.verify_transfer(6))
+        monkeypatch.undo()
+    first_fit_with(monkeypatch, faults)
+    report = H.verify_transfer(6)
+    oracle = lift_with(one_short, (0, 3), 2, lift_with(one_more, (3,), 2))
+    assert report == transfer_report_by_lifting(H, 6, oracle)
+    assert report.failure == "lift of (3, 0, 3) does not multiply back"
+    assert [r.failure for r in alone] == ["lift of (3, 0, 3) has wrong images", report.failure]
+    assert {r.splits_checked for r in alone} == {report.splits_checked}
+
+
+def test_each_first_fit_row_is_computed_once_whatever_the_splits(monkeypatch):
+    primes = [f"p{i}" for i in range(12)]
+    H = make_krull(make_group([9]), primes, {p: (1 + i % 2,) for i, p in enumerate(primes)})
+    rows = {
+        (tuple(v[i] for i in slot), k)
+        for v in H.elements(8)
+        for slot in H._slot_primes
+        for k in range(sum(v[i] for i in slot) + 1)
+    }
+    first_fit, calls = krull._first_fit, []
+    monkeypatch.setattr(krull, "_first_fit", lambda have, needed: calls.append(1) or first_fit(have, needed))
+    report = H.verify_transfer(8)
+    assert report.splits_checked == 27873
+    assert len(calls) <= 2 * len(rows) < report.splits_checked
 
 
 def test_verify_transfer_bounds():
