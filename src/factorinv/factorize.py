@@ -117,6 +117,7 @@ class PresentedMonoid:
         self._graded = grading and _zero_sum_test(*grading)  # the class sum test of a grading
         self.atoms = tuple(tuple(a) for a in atoms)
         self._validate_atoms()
+        self._least_norm = min(map(sum, self.atoms), default=1)
         self._fact_cache: dict[tuple[Vector, int], tuple] = {}
         # length sets are bitmasks, bit l set for length l; the zero vector has length 0
         self._lenset_cache: dict[Vector, int] = {(0,) * len(self.alphabet): 1}
@@ -331,9 +332,9 @@ class PresentedMonoid:
         linked by shared atoms) are the components of the graph on the atoms
         dividing v with a ~ a' when a' divides v - a (the member table); μ(v)
         is the largest least length of a class, and a Betti element has two
-        classes or more.  0 when no member has two classes.
-        """
-        worst = 0
+        classes or more.  0 when no member has two classes.  μ(v) is a length
+        of v, so the scan stops at the length cap."""
+        worst, cap = 0, self._length_cap(size_bound)
         for _, mask, _, below in self._members(size_bound):
             classes, rest = [], mask  # the R-classes, as atom bitmasks
             while rest:
@@ -348,32 +349,46 @@ class PresentedMonoid:
             if len(classes) > 1:  # through atom a, the least length is 1 + that of v - a
                 lows = (min((l & -l).bit_length() for b, (_, l) in below.items() if b & c) for c in classes)
                 worst = max(worst, *lows)
+                if worst >= cap:
+                    break
         return worst
 
     def delta(self, size_bound: int) -> tuple[int, ...]:
-        """Union of successive-gap sets over members of 1-norm <= size_bound."""
-        length_sets = {lengths for _, _, lengths, _ in self._members(size_bound)}
-        return tuple(sorted({d for lengths in length_sets for d in delta_of_set(_lengths(lengths))}))
+        """Union of the gap sets of the members of 1-norm <= size_bound; stops at [1, length cap - 2]."""
+        cap, seen, gaps = self._length_cap(size_bound), set(), set()
+        for _, _, lengths, _ in self._members(size_bound):
+            if lengths not in seen:
+                seen.add(lengths)
+                gaps.update(delta_of_set(_lengths(lengths)))
+                if len(gaps) >= cap - 2:
+                    break
+        return tuple(sorted(gaps))
+
+    def _length_cap(self, size_bound: int) -> int:
+        """No member of 1-norm <= size_bound has a factorization longer than this."""
+        return _bound(size_bound) // self._least_norm
 
     def _atom_pairs(self, size_bound: int) -> Iterator[tuple[Vector, Vector]]:
-        """The pairs a <= b of atoms with |a| + |b| <= size_bound, rows by
-        (1-norm, vector) order of a; each row stops at the bound."""
-        atoms = sorted((sum(a), a) for a in self.atoms)
-        for i, (n, a) in enumerate(atoms):
-            if 2 * n > size_bound:  # this row and every later one are empty
-                return
-            for m, b in atoms[i:]:
-                if n + m > size_bound:
-                    break
-                yield a, b
+        """Atom pairs a <= b with |a| + |b| <= size_bound, by descending |a| + |b|, then (norm, vector)."""
+        by_norm: dict[int, list[Vector]] = {}
+        for a in sorted(self.atoms):
+            by_norm.setdefault(sum(a), []).append(a)
+        for _, n, m in sorted((-n - m, n, m) for n in by_norm for m in by_norm if n <= m <= size_bound - n):
+            for i, a in enumerate(by_norm[n]):
+                for b in by_norm[m][i:] if n == m else by_norm[m]:
+                    yield a, b
 
     def rho2(self, size_bound: int) -> int:
-        """Largest factorization length of a product of two atoms of total
-        1-norm <= size_bound."""
+        """Largest factorization length of a product of two atoms of total 1-norm <= size_bound;
+        by descending pair total, it stops at the first pair whose length cap is at most the best."""
         if _bound(size_bound) < 2:
             raise InvalidSpecificationError("rho2 needs size_bound >= 2")
-        pairs = self._atom_pairs(size_bound)
-        return max((self._length_set(tuple(map(add, a, b))).bit_length() - 1 for a, b in pairs), default=0)
+        best = 0
+        for a, b in self._atom_pairs(size_bound):
+            if self._length_cap(sum(a) + sum(b)) <= best:
+                break
+            best = max(best, self._length_set(tuple(map(add, a, b))).bit_length() - 1)
+        return best
 
     def half_factorial(self, size_bound: int):
         """(True, None) when every member of 1-norm <= size_bound has a

@@ -533,3 +533,12 @@ def test_console_script_help_goes_to_stdout_with_exit_0():
                             env=env, capture_output=True, text=True, timeout=60)
     assert result.returncode == 0 and result.stderr == ""
     assert result.stdout.startswith("usage: factorinv towers comb")
+
+
+def test_blocks_rho2_at_twice_davenport_stops_at_the_length_cap():
+    # D(C3×C6) = 8: an atom of length 8 times its inverse has length 8 = 16 // 2,
+    # the length cap at the default bound, so the pair walk stops there
+    start = time.perf_counter()
+    code, out = capture(["blocks", "rho2", "--orders", "3,6"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and "rho2: 8" in out.splitlines()

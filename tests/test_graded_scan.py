@@ -2,7 +2,9 @@
 member-table scans, against the composition scan, the Prim catenary and the
 single-element length walk of ``oracles``."""
 
+import functools
 import random
+import time
 from math import comb
 
 import pytest
@@ -14,8 +16,9 @@ from factorinv.errors import InvalidSpecificationError
 from factorinv.factorize import PresentedMonoid
 from factorinv.krull import make_krull
 
+import oracles
 from conftest import abelian_groups_up_to
-from oracles import composition_scan, first_member_with_two_lengths, gap_scan, prim_catenary
+from oracles import composition_scan, first_member_with_two_lengths, gap_scan, naive_rho2, prim_catenary
 from test_acceptance import krull_batch
 
 GROUPS = abelian_groups_up_to(12)
@@ -144,3 +147,118 @@ def test_catenary_below_the_first_betti_element_is_zero():
     P = BlockMonoid(G, subset_nonzero(G)).presented()
     # the first Betti element is 1^3 2^3, of 1-norm 6
     assert [P.catenary(bound) for bound in range(8)] == [0] * 6 + [3, 3]
+
+
+# -- the length cap: rho2, catenary and delta stop once it settles the answer
+
+CAPPED_GROUPS = [[3], [4], [5], [6], [7], [8], [2, 4], [3, 3], [2, 2, 2]]
+
+
+def full_block_monoid(orders):
+    G = make_group(orders)
+    return BlockMonoid(G, subset_nonzero(G)).presented()
+
+
+@pytest.fixture
+def memoized_oracles(monkeypatch):
+    """The oracles with their walks memoized, so that asking them at every
+    bound, from the top down, costs about one walk at the top bound.  The
+    values are unchanged: the members of norm <= b, in (norm, lex) order, are
+    a prefix of the members up to a larger bound."""
+    monkeypatch.setattr(oracles, "naive_factorizations", functools.lru_cache(maxsize=None)(oracles.naive_factorizations))
+    scanned = {}
+
+    def prefix_scan(monoid, bound):
+        top, members = scanned.get(id(monoid), (-1, []))
+        if bound > top:
+            top, members = scanned[id(monoid)] = bound, composition_scan(monoid, bound)
+        return [v for v in members if sum(v) <= bound]
+
+    monkeypatch.setattr(oracles, "composition_scan", prefix_scan)
+
+
+def assert_capped_scans_match_the_oracles(P, bounds, prim_bounds=None):
+    """rho2, delta and catenary at each bound, from the top down, against the
+    oracles.  The Prim oracle runs at ``prim_bounds`` (default: every bound);
+    at the others the catenary degree is checked against the same scan with
+    the length cap lifted."""
+    P.catenary_of = functools.lru_cache(maxsize=None)(P.catenary_of)
+    for bound in sorted(bounds, reverse=True):
+        label = (P.atoms, bound)
+        assert P.rho2(bound) == naive_rho2(P.atoms, bound), label
+        assert P.delta(bound) == gap_scan(P, bound), label
+        catenary = P.catenary(bound)
+        if prim_bounds is None or bound in prim_bounds:
+            assert catenary == prim_catenary(P, bound), label
+        else:
+            P._length_cap = lambda size_bound: float("inf")
+            assert catenary == P.catenary(bound), label
+            del P._length_cap
+
+
+@pytest.mark.parametrize("orders", CAPPED_GROUPS, ids=lambda o: "x".join(map(str, o)))
+def test_capped_scans_match_the_oracles_at_every_bound_to_twice_davenport(orders, memoized_oracles):
+    P = full_block_monoid(orders)
+    davenport = max(map(sum, P.atoms))
+    # the Prim oracle lists every factorization: over C8 it takes about 8 s at
+    # bound 15 and 90 s at 17 on a 2-vCPU host, so above 13 the uncapped scan
+    # stands in for it
+    prim_bounds = range(2, 14) if orders == [8] else None
+    assert_capped_scans_match_the_oracles(P, range(2, 2 * davenport + 2), prim_bounds)
+    if orders == [8]:  # c(C_n) = n, reached at 1^n (n-1)^n, of 1-norm 2n
+        assert [P.catenary(bound) for bound in (14, 15, 16, 17)] == [6, 7, 8, 8]
+
+
+def test_capped_scans_match_the_oracles_with_an_atom_of_norm_one(memoized_oracles):
+    rng = random.Random("class-0 prime")
+    for _ in range(12):
+        G = make_group(rng.choice([[2], [3], [4], [2, 2], [5], [6]]))
+        primes = [f"p{i}" for i in range(rng.randint(2, 5))]
+        classes = {p: rng.choice(G.elements()) for p in primes}
+        classes["p0"] = G.zero  # p0 is an atom of norm 1: the cap is the bound itself
+        H = make_krull(G, primes, classes)
+        assert H._length_cap(8) == 8
+        assert_capped_scans_match_the_oracles(H, range(2, 9))
+
+
+def test_capped_scans_match_the_oracles_on_ungraded_monoids(memoized_oracles):
+    rng = random.Random("ungraded capped scans")
+    for orders in ([3], [4], [2, 2], [2, 3]):
+        G = make_group(orders)
+        graded = BlockMonoid(G, rng.sample(G.elements(), rng.randint(2, len(G.elements())))).presented()
+        plain = PresentedMonoid(graded.alphabet, graded.membership, graded.atoms)
+        assert_capped_scans_match_the_oracles(plain, range(2, 10))
+
+    def member(v):  # i (0,2) + j (1,1) + k (4,0), not closed under quotients
+        x, y = v
+        return any((x - j) % 4 == 0 and y >= j and (y - j) % 2 == 0 for j in range(x + 1))
+
+    assert_capped_scans_match_the_oracles(PresentedMonoid(["a", "b"], member, [(0, 2), (1, 1), (4, 0)]), range(2, 13))
+
+
+def test_rho2_stops_once_the_pair_totals_cannot_beat_the_best():
+    P = full_block_monoid([8])
+    # the pairs of total 16 come first, and 1^8 7^8 has length 8 = 16 // 2, the
+    # cap, so the walk stops there; a walk over every pair memoizes 1,897 keys
+    assert P.rho2(16) == 8 and len(P._lenset_cache) <= 40
+
+
+@pytest.mark.parametrize("orders, scan, bound, value, table", [
+    ([3, 3], "catenary", 7, 3, 715),
+    ([2, 4], "delta", 8, (1, 2), 819),
+])
+def test_catenary_and_delta_stop_at_the_length_cap(orders, scan, bound, value, table):
+    P = full_block_monoid(orders)
+    rows, members = [], P._members
+    P._members = lambda bound: (rows.append(row) or row for row in members(bound))
+    assert getattr(P, scan)(bound) == value
+    assert len(rows) < table == sum(1 for _ in members(bound))
+
+
+def test_delta_tests_the_cap_without_building_it():
+    P = full_block_monoid([2, 4])
+    # length sets {0}, {2, 4} and {2, 3}
+    P._members = lambda bound: iter([((), 0, 0b1, {}), ((), 0, 0b10100, {}), ((), 0, 0b1100, {})])
+    started = time.perf_counter()
+    assert P.delta(10**20) == (1, 2)
+    assert time.perf_counter() - started < 0.5

@@ -328,6 +328,21 @@ def test_rho2_stops_at_the_bound_on_thousands_of_atoms():
     assert time.perf_counter() - started < 0.5
 
 
+def twelve_prime_c9_monoid():
+    """17,940 atoms: six primes each in classes 1 and 2 of C9."""
+    primes = [f"p{i}" for i in range(12)]
+    return make_krull(make_group([9]), primes, {p: (1 + i % 2,) for i, p in enumerate(primes)})
+
+
+def test_rho2_stops_at_the_length_cap_on_thousands_of_atoms():
+    H = twelve_prime_c9_monoid()
+    assert min(map(sum, H.atoms)) == 5  # p q^4: the cap is 2 below bound 15
+    for bound in (11, 14):
+        started = time.perf_counter()
+        assert H.rho2(bound) == 2
+        assert time.perf_counter() - started < 1
+
+
 def test_fiber_catenary_factorial():
     G = make_group([3])
     H = make_krull(G, ["p", "q"], {"p": (0,), "q": (0,)})
@@ -415,8 +430,7 @@ def test_verify_transfer_equals_lifting_every_split():
 
 
 def test_verify_transfer_equals_lifting_every_split_with_six_primes_per_class():
-    primes = [f"p{i}" for i in range(12)]
-    H = make_krull(make_group([9]), primes, {p: (1 + i % 2,) for i, p in enumerate(primes)})
+    H = twelve_prime_c9_monoid()
     report = H.verify_transfer(8)
     assert report == transfer_report_by_lifting(H, 8) == TransferReport(True, 13937, 27873, None, 5)
 
