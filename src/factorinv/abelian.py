@@ -155,9 +155,13 @@ def _zero_sum_test(group: FinAbGroup, classes):
 
 
 def _tables(group: FinAbGroup, letters):
-    """(index -> index of the negative, one addition row h -> h + g per
-    element g of ``letters``), over the indices of ``group.elements()``,
-    where the zero element has index 0; |letters|·|G| row entries."""
+    """(index -> index of the negative, per element g of ``letters`` its
+    addition row h -> h + g and its moves for :func:`_translate`), over the
+    indices of ``group.elements()``, where the zero element has index 0.
+
+    Coordinate i, of order n and stride s (the product of the later orders),
+    moves on its own: in each aligned block of n·s indices, the residues below
+    n − g_i (``low``) go up by g_i·s and the rest (``high``) down by (n − g_i)·s."""
     elements, orders = group.elements(), group.orders
     index = {g: i for i, g in enumerate(elements)}
     neg = [index[tuple(-x % n for x, n in zip(h, orders))] for h in elements]
@@ -165,14 +169,18 @@ def _tables(group: FinAbGroup, letters):
         [index[tuple((x + y) % n for x, y, n in zip(h, g, orders))] for h in elements]
         for g in letters
     ]
-    return neg, rows
+    full, coordinates = (1 << len(elements)) - 1, [(n, prod(orders[i + 1:])) for i, n in enumerate(orders)]
+    moves = [
+        tuple((low, x * s, full ^ low, (n - x) * s) for x, (n, s) in zip(elements[row[0]], coordinates) if x
+              for low in [((1 << (n - x) * s) - 1) * (full // ((1 << n * s) - 1))])
+        for row in rows
+    ]
+    return neg, rows, moves
 
 
-def _translate(mask: int, row) -> int:
-    """The bitmask of element indices ``mask`` moved by the addition row ``row``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << row[low.bit_length() - 1]
-        mask ^= low
-    return out
+def _translate(mask: int, moves) -> int:
+    """The bitmask of element indices ``mask`` moved by one letter's ``moves``
+    from :func:`_tables`, one rotation per nonzero coordinate."""
+    for low, up, high, down in moves:
+        mask = (mask & low) << up | (mask & high) >> down
+    return mask

@@ -219,7 +219,7 @@ def _atom_vectors(group: FinAbGroup, letters) -> Iterator[tuple[int, ...]]:
     −σ at a slot no smaller than t.
     """
     width = len(letters)
-    neg, rows = _tables(group, letters)
+    neg, rows, moves = _tables(group, letters)
     closers: dict[int, list[int]] = {}  # index of a class -> its slots, ascending
     for s, row in enumerate(rows):
         closers.setdefault(row[0], []).append(s)
@@ -231,7 +231,7 @@ def _atom_vectors(group: FinAbGroup, letters) -> Iterator[tuple[int, ...]]:
             if close >= start:
                 yield counts[:close] + (counts[close] + 1,) + counts[close + 1:]
         for s in range(start, width):
-            grown = _grow(sums, rows[s])
+            grown = _grow(sums, rows[s], moves[s])
             if not grown & 1:
                 stack.append((s, grown, rows[s][total], counts[:s] + (counts[s] + 1,) + counts[s + 1:]))
 
@@ -245,11 +245,11 @@ def davenport(group: FinAbGroup) -> int:
     search runs over nondecreasing nonzero elements, memoized on (next
     element, subsequence sums) by the engine's explicit-stack walker.
     """
-    _, rows = _tables(group, group.elements()[1:])
+    _, rows, moves = _tables(group, group.elements()[1:])
 
     def children(key):
         start, sums = key
-        grown = ((j, _grow(sums, rows[j])) for j in range(start, len(rows)))
+        grown = ((j, _grow(sums, rows[j], moves[j])) for j in range(start, len(rows)))
         return [(j, (j, mask)) for j, mask in grown if not mask & 1]
 
     def longest(steps):
@@ -258,7 +258,7 @@ def davenport(group: FinAbGroup) -> int:
     return 1 + _evaluate((0, 0), {}, children, longest, 0)
 
 
-def _grow(sums: int, row) -> int:
+def _grow(sums: int, row, moves) -> int:
     """The subsequence-sum bitmask ``sums`` of a sequence after appending the
-    element g with addition row ``row`` (so g's own index is ``row[0]``)."""
-    return sums | 1 << row[0] | _translate(sums, row)
+    element g of addition row ``row`` (g's own index is ``row[0]``) and ``moves``."""
+    return sums | 1 << row[0] | _translate(sums, moves)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Callable, Iterator, Optional
 
-from .abelian import _is_int, _tables, _translate, _zero_sum_test
+from .abelian import FinAbGroup, _is_int, _tables, _translate, _zero_sum_test
 from .errors import (
     IncomparableError,
     InvalidSpecificationError,
@@ -108,7 +108,7 @@ class PresentedMonoid:
         if grading is None:
             # in the trivial group every vector has class sum zero, so the
             # walk yields every composition and each one is tested
-            self._grading, self._scan_test = ([0], [[0]] * len(self.alphabet)), membership
+            self._grading, self._scan_test = _tables(FinAbGroup(()), [()] * len(self.alphabet)), membership
         else:
             group, classes = grading
             if len(classes) != len(self.alphabet):
@@ -439,10 +439,10 @@ def _evaluate(root, cache, children, combine, empty):
     return cache[root]
 
 
-def _zero_sum_vectors(neg, rows, size_bound: int) -> Iterator[Vector]:
-    """Count vectors over letters with addition rows ``rows`` (from
-    ``abelian._tables``, negation map ``neg``) whose class sum vanishes, of
-    1-norm <= size_bound, by (norm, lex) order.
+def _zero_sum_vectors(neg, rows, moves, size_bound: int) -> Iterator[Vector]:
+    """Count vectors over letters with addition rows ``rows`` and moves
+    ``moves`` (from ``abelian._tables``, negation map ``neg``) whose class
+    sum vanishes, of 1-norm <= size_bound, by (norm, lex) order.
 
     Each norm layer is an explicit-stack walk that assigns the slots left to
     right, each in ascending order.  ``reach[s][r]`` is the bitmask of the
@@ -464,7 +464,7 @@ def _zero_sum_vectors(neg, rows, size_bound: int) -> Iterator[Vector]:
         if n:
             column = 0
             for s in range(last, -1, -1):
-                column |= _translate(reach[s][n - 1], rows[s])
+                column |= _translate(reach[s][n - 1], moves[s])
                 reach[s].append(column)
         if not reach[0][n] & 1:
             continue

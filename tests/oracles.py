@@ -33,6 +33,17 @@ def submultiset_sums(group: FinAbGroup, elements) -> set:
     return sums
 
 
+def translate_bit_by_bit(mask: int, row) -> int:
+    """The bitmask of element indices ``mask`` moved by the addition row
+    ``row`` (index h -> index of h + g), one set bit at a time."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << row[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def is_minimal_zero_sum(group: FinAbGroup, elements) -> bool:
     """Nonempty, zero-sum, and no proper nonempty submultiset sums to zero,
     checked by dropping one copy of each distinct element in turn."""
@@ -128,8 +139,10 @@ def naive_length_set(atoms, v) -> set:
 
 def naive_rho2(atoms, bound: int) -> int:
     """The most factorization lengths of a product of two atoms, over every
-    pair of atoms whose product has 1-norm <= bound (0 when there is none)."""
-    products = (tuple(x + y for x, y in zip(a, b)) for a in atoms for b in atoms)
+    pair of atoms whose product has 1-norm <= bound (0 when there is none).
+    The product is symmetric, so each unordered pair is taken once."""
+    pairs = itertools.combinations_with_replacement(atoms, 2)
+    products = (tuple(x + y for x, y in zip(a, b)) for a, b in pairs)
     return max((max(naive_length_set(atoms, v)) for v in products if sum(v) <= bound), default=0)
 
 

@@ -1,11 +1,15 @@
 import itertools
+import random
 
 import pytest
 
-from factorinv.abelian import FinAbGroup, make_group
+from factorinv.abelian import FinAbGroup, _tables, _translate, make_group
 from factorinv.errors import InvalidElementError, InvalidSpecificationError
+from factorinv.factorize import PresentedMonoid
+from factorinv.krull import make_krull
 
 from conftest import abelian_groups_up_to
+from oracles import translate_bit_by_bit
 
 
 def test_make_group_trivial():
@@ -117,3 +121,25 @@ def test_from_doc_roundtrip():
     assert G.to_doc() == doc
     with pytest.raises(InvalidSpecificationError):
         FinAbGroup.from_doc({"wrong": 1})
+
+
+@pytest.mark.parametrize(
+    "orders", [[], [1], [1, 5, 1], [2, 1, 3], [30], [3, 9], [2, 2, 2, 2], [2, 2, 4]], ids=str
+)
+def test_translate_by_rotations_equals_the_bit_by_bit_move(orders):
+    G = make_group(orders)
+    rng = random.Random(f"translate {orders}")
+    masks = [0, 1, (1 << G.cardinality) - 1] + [rng.getrandbits(G.cardinality) for _ in range(40)]
+
+    def check(tables, tried):
+        _, rows, moves = tables
+        assert len(rows) == len(moves)
+        for row, move in zip(rows, moves):
+            for mask in tried:
+                assert _translate(mask, move) == translate_bit_by_bit(mask, row), (orders, row, mask)
+
+    check(_tables(G, G.elements()), masks)
+    check(PresentedMonoid("ab", lambda v: True, [(1, 0), (0, 1)])._grading, [0, 1])  # the trivial group's
+    # five primes over at most two classes; the Krull atom walk translates, so it comes last
+    primes, classes = ["p0", "p1", "p2", "p3", "p4"], rng.sample(G.elements(), min(2, G.cardinality))
+    check(make_krull(G, primes, {p: rng.choice(classes) for p in primes})._grading, masks)

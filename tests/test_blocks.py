@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -77,6 +78,19 @@ def test_atoms_c2():
     G = make_group([2])
     atoms = BlockMonoid(G, [(1,)]).atoms()
     assert [seq_counter(a) for a in atoms] == [Counter({(1,): 2})]
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_atom_count_over_elementary_2_groups_from_the_binary_matroid(r):
+    """Over C2^r the atoms on the nonzero elements are the 2^r - 1 squares g^2
+    and the circuits of the binary matroid of the nonzero vectors: k distinct
+    vectors of sum zero, any k - 1 of them independent.  Taking k - 1
+    independent vectors in order and closing with their sum counts each
+    circuit k! times."""
+    q = 2**r
+    circuits = sum(prod(q - 2**i for i in range(k - 1)) // factorial(k) for k in range(3, r + 2))
+    G = make_group([2] * r)
+    assert len(BlockMonoid(G, subset_nonzero(G)).atoms()) == q - 1 + circuits == [1, 4, 21, 323, 20367][r - 1]
 
 
 def test_atoms_c3_nonzero():

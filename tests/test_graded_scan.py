@@ -166,12 +166,12 @@ def memoized_oracles(monkeypatch):
     values are unchanged: the members of norm <= b, in (norm, lex) order, are
     a prefix of the members up to a larger bound."""
     monkeypatch.setattr(oracles, "naive_factorizations", functools.lru_cache(maxsize=None)(oracles.naive_factorizations))
-    scanned = {}
+    scanned = {}  # keyed by the monoid itself, which the key keeps alive: an id can be reused once freed
 
     def prefix_scan(monoid, bound):
-        top, members = scanned.get(id(monoid), (-1, []))
+        top, members = scanned.get(monoid, (-1, []))
         if bound > top:
-            top, members = scanned[id(monoid)] = bound, composition_scan(monoid, bound)
+            top, members = scanned[monoid] = bound, composition_scan(monoid, bound)
         return [v for v in members if sum(v) <= bound]
 
     monkeypatch.setattr(oracles, "composition_scan", prefix_scan)
