@@ -9,6 +9,7 @@ table, filled in (norm, lex) order: each member's dividing atoms and length
 set as int bitmasks, from the rows of its quotients.  One element's length
 set is a memoized walk and its catenary degree the Prim bottleneck of its
 factorizations; rho2 and the Krull fiber catenary walk the pairs of atoms.
+Each public call builds its own memo, so no query changes a monoid.
 
 Public methods validate their input once; internal scans work on trusted
 int count vectors with explicit stacks, so no element meets a recursion limit.
@@ -118,9 +119,6 @@ class PresentedMonoid:
         self.atoms = tuple(tuple(a) for a in atoms)
         self._validate_atoms()
         self._least_norm = min(map(sum, self.atoms), default=1)
-        self._fact_cache: dict[tuple[Vector, int], tuple] = {}
-        # length sets are bitmasks, bit l set for length l; the zero vector has length 0
-        self._lenset_cache: dict[Vector, int] = {(0,) * len(self.alphabet): 1}
 
     def _validate_atoms(self):
         seen = set()
@@ -184,10 +182,13 @@ class PresentedMonoid:
         """Complete duplicate-free tuple of factorizations of ``v``.
 
         Atom multisets are enumerated with nondecreasing atom indices so
-        each multiset appears once; results are memoized per monoid.  An
-        enumeration that would exceed ``limit`` raises
-        :class:`TruncatedEnumerationError` instead of silently truncating.
+        each multiset appears once, from a memo of this call alone.  An
+        enumeration that would exceed ``limit`` (None, or an int >= 0)
+        raises :class:`TruncatedEnumerationError` instead of silently
+        truncating.
         """
+        if limit is not None and not (_is_int(limit) and limit >= 0):
+            raise InvalidSpecificationError(f"a factorization limit must be None or an integer >= 0, got {limit!r}")
         v = self.check_member(v)
         return tuple(Factorization(counts) for counts in self._factorizations_from(v, 0, limit))
 
@@ -208,13 +209,12 @@ class PresentedMonoid:
         return z
 
     def _factorizations_from(self, v: Vector, start: int, limit: Optional[int] = None) -> tuple:
-        """Count tuples of the factorizations of ``v`` into atoms >= ``start``.
+        """Count tuples of the factorizations of ``v`` into atoms >= ``start``,
+        from a memo of this call alone.
 
         Every key the walk reaches maps its factorizations injectively into
         those of ``v`` (prefix the atoms taken on the way), so a key with more
-        than ``limit`` of them raises as soon as it is combined; a root cached
-        by an earlier call is checked on return.  A refused walk drops the
-        keys it added to the memo (``_evaluate`` only inserts, in order)."""
+        than ``limit`` of them raises as soon as it is combined."""
 
         def capped(out):
             if limit is not None and len(out) > limit:
@@ -237,24 +237,20 @@ class PresentedMonoid:
                         out.append(((j, 1),) + tail)
             return capped(tuple(out))
 
-        known = len(self._fact_cache)
-        try:
-            return capped(_evaluate((v, start), self._fact_cache, children, combine, ((),)))
-        except TruncatedEnumerationError:
-            for key in list(self._fact_cache)[known:]:
-                del self._fact_cache[key]
-            raise
+        return _evaluate((v, start), {}, children, combine, ((),))
 
     def length_set(self, v) -> tuple[int, ...]:
         """Sorted set of factorization lengths of ``v``.
 
-        Computed by a memoized walk over atoms (keyed on the exponent
-        vector), which agrees with the lengths of :meth:`factorizations`.
+        Computed by a walk over atoms, memoized for this call on the
+        exponent vector, which agrees with the lengths of :meth:`factorizations`.
         """
-        return _lengths(self._length_set(self.check_member(v)))
+        v = self.check_member(v)
+        return _lengths(self._length_set(v, {(0,) * len(v): 1}))
 
-    def _length_set(self, v: Vector) -> int:
-        """Bitmask of the lengths of a trusted member (see ``_lenset_cache``)."""
+    def _length_set(self, v: Vector, memo: dict) -> int:
+        """Bitmask of the lengths of a trusted member, bit l set for length l.
+        ``memo`` maps the vectors walked so far to theirs; a zero ``v`` must be in it, as 1."""
 
         def combine(steps):
             out = 0
@@ -262,7 +258,7 @@ class PresentedMonoid:
                 out |= lengths
             return out << 1
 
-        return _evaluate(v, self._lenset_cache, lambda u: self._quotients(u, 0), combine, 1)
+        return _evaluate(v, memo, lambda u: self._quotients(u, 0), combine, 1)
 
     def _quotients(self, v: Vector, start: int) -> list:
         """(j, v - atom j) for each atom j >= ``start`` dividing ``v``; None for a zero quotient."""
@@ -380,14 +376,15 @@ class PresentedMonoid:
 
     def rho2(self, size_bound: int) -> int:
         """Largest factorization length of a product of two atoms of total 1-norm <= size_bound;
-        by descending pair total, it stops at the first pair whose length cap is at most the best."""
+        by descending pair total, it stops at the first pair whose length cap is at most the best.
+        The pairs' length walks share one memo, kept for this call."""
         if _bound(size_bound) < 2:
             raise InvalidSpecificationError("rho2 needs size_bound >= 2")
-        best = 0
+        best, memo = 0, {}
         for a, b in self._atom_pairs(size_bound):
             if self._length_cap(sum(a) + sum(b)) <= best:
                 break
-            best = max(best, self._length_set(tuple(map(add, a, b))).bit_length() - 1)
+            best = max(best, self._length_set(tuple(map(add, a, b)), memo).bit_length() - 1)
         return best
 
     def half_factorial(self, size_bound: int):

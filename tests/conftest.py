@@ -1,5 +1,7 @@
 import itertools
 
+from factorinv.factorize import PresentedMonoid
+
 
 def partitions(n):
     if n == 0:
@@ -37,3 +39,18 @@ def abelian_groups_up_to(max_order):
                 orders.extend(p ** e for e in part)
             groups.append(sorted(orders))
     return groups
+
+
+class SingleElementWalk(Exception):
+    """Raised by a patched factorization listing or single-element length walk."""
+
+
+def refuse_single_element_walks(monkeypatch):
+    """Make every factorization listing and single-element length walk of a
+    :class:`PresentedMonoid` raise :class:`SingleElementWalk`."""
+
+    def refuse(*args):
+        raise SingleElementWalk(args)
+
+    monkeypatch.setattr(PresentedMonoid, "_factorizations_from", refuse)
+    monkeypatch.setattr(PresentedMonoid, "_length_set", refuse)

@@ -2,8 +2,10 @@
 
 Each oracle deliberately follows a different algorithmic route than the
 implementation it checks: generate-and-test enumeration instead of pruned
-search, explicit submultiset scans instead of incremental masks, and plain
-recursive splitting instead of memoized index-ordered search.
+search, explicit submultiset scans instead of incremental masks, plain
+recursive splitting instead of memoized index-ordered search, and tables
+pushed forward from each member by the atoms that fit instead of walks over
+the atoms dividing an element.  Each oracle call builds its own tables.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from factorinv.errors import (
     NonPrincipalBoundError,
     NotACoveringError,
 )
+from factorinv.factorize import Factorization
 from factorinv.krull import TransferReport
 
 
@@ -163,33 +166,89 @@ def composition_scan(monoid, bound: int) -> list[tuple[int, ...]]:
     return members
 
 
+def pushed_table(monoid, bound: int, start, extend) -> dict:
+    """A table over the members of 1-norm <= bound, in the (norm, lex) order
+    of the composition scan: the zero vector holds ``start``, and each member
+    u, once every smaller member is done, adds ``extend(i, x)`` for each of
+    its entries x to the member u + a_i, for every atom a_i that fits under
+    the bound.  So each member's entries come from the earlier members it
+    divides by an atom."""
+    table = {v: set() for v in composition_scan(monoid, bound)}
+    table[(0,) * len(monoid.alphabet)] = {start}
+    by_norm = sorted((sum(a), i, a) for i, a in enumerate(monoid.atoms))
+    for u, entries in table.items():
+        room = bound - sum(u)
+        for norm, i, a in by_norm:
+            if norm > room:
+                break
+            table[tuple(x + y for x, y in zip(u, a))].update(extend(i, x) for x in entries)
+    return {v: frozenset(entries) for v, entries in table.items()}
+
+
+def length_table(monoid, bound: int) -> dict:
+    """Each member of 1-norm <= bound -> the set of its factorization lengths."""
+    return pushed_table(monoid, bound, 0, lambda i, length: length + 1)
+
+
+def factorization_table(monoid, bound: int) -> dict:
+    """Each member of 1-norm <= bound -> its factorizations, as sorted tuples of atom indices."""
+    return pushed_table(monoid, bound, (), lambda i, z: tuple(sorted(z + (i,))))
+
+
 def gap_scan(monoid, bound: int) -> tuple[int, ...]:
     """Union of the successive gaps of the length sets of the members of
-    1-norm <= bound, each from the monoid's single-element length walk, over
-    the composition scan."""
+    1-norm <= bound, from the length table."""
     gaps = set()
-    for v in composition_scan(monoid, bound):
-        lengths = monoid.length_set(v)
+    for lengths in length_table(monoid, bound).values():
+        lengths = sorted(lengths)
         gaps.update(b - a for a, b in zip(lengths, lengths[1:]))
     return tuple(sorted(gaps))
 
 
 def first_member_with_two_lengths(monoid, bound: int):
     """(True, None), or (False, (v, its length set)) for the first member v
-    of the composition scan with more than one length, each length set from
-    the monoid's single-element length walk."""
-    for v in composition_scan(monoid, bound):
-        lengths = monoid.length_set(v)
+    of the length table, in (norm, lex) order, with more than one length."""
+    for v, lengths in length_table(monoid, bound).items():
         if len(lengths) > 1:
-            return False, (v, lengths)
+            return False, (v, tuple(sorted(lengths)))
     return True, None
+
+
+def prim_bottleneck(factorizations) -> int:
+    """Catenary degree of a set of factorizations (sorted atom-index tuples):
+    the heaviest edge that Prim adds to a minimum spanning tree of the
+    complete graph on them, weighted by the permutable distance, whose
+    shared atoms come from merging the two sorted tuples."""
+    if len(factorizations) <= 1:
+        return 0
+
+    def distance(x, y):
+        i = j = shared = 0
+        while i < len(x) and j < len(y):
+            if x[i] == y[j]:
+                shared, i, j = shared + 1, i + 1, j + 1
+            elif x[i] < y[j]:
+                i += 1
+            else:
+                j += 1
+        return max(len(x), len(y)) - shared
+
+    tree, *rest = factorizations
+    cheapest = [distance(tree, z) for z in rest]
+    worst = 0
+    while rest:
+        k = min(range(len(rest)), key=cheapest.__getitem__)
+        worst = max(worst, cheapest.pop(k))
+        tree = rest.pop(k)
+        cheapest = [min(c, distance(tree, z)) for c, z in zip(cheapest, rest)]
+    return worst
 
 
 def prim_catenary(monoid, bound: int) -> int:
     """Catenary degree up to a bound as the largest catenary degree of one
-    member (the Prim bottleneck of its listed factorizations) over the
-    composition scan."""
-    return max((monoid.catenary_of(v) for v in composition_scan(monoid, bound)), default=0)
+    member (the Prim bottleneck of its factorizations, from the
+    factorization table)."""
+    return max(map(prim_bottleneck, factorization_table(monoid, bound).values()), default=0)
 
 
 def catenary_minimax(factorizations) -> int:
@@ -221,16 +280,17 @@ def catenary_minimax(factorizations) -> int:
 
 def fiber_catenary_by_listing(monoid, bound: int) -> int:
     """Largest catenary degree of a fiber of a Krull monoid's transfer map
-    over the members of 1-norm <= bound, by listing: each member's public
-    factorizations, grouped by the sorted class images of their atoms, each
-    group's catenary degree from the chain definition."""
+    over the members of 1-norm <= bound, by listing: each member's
+    factorizations from the factorization table, grouped by the sorted class
+    images of their atoms, each group's catenary degree from the chain
+    definition."""
     images = [monoid.atom_image(i).counts for i in range(len(monoid.atoms))]
     worst = 0
-    for v in composition_scan(monoid, bound):
+    for factorizations in factorization_table(monoid, bound).values():
         fibers: dict = {}
-        for z in monoid.factorizations(v):
-            key = tuple(sorted(images[i] for i, m in z.counts for _ in range(m)))
-            fibers.setdefault(key, []).append(z)
+        for z in factorizations:
+            key = tuple(sorted(images[i] for i in z))
+            fibers.setdefault(key, []).append(Factorization(tuple(sorted(Counter(z).items()))))
         worst = max(worst, *map(catenary_minimax, fibers.values()))
     return worst
 
@@ -256,7 +316,7 @@ def first_fit_lift(monoid, v, blocks) -> list[tuple[int, ...]]:
 def transfer_report_by_lifting(monoid, bound: int, lift=first_fit_lift):
     """A Krull monoid's transfer report up to a bound with every split lifted
     on its own: members in (norm, lex) order, each compared by the length
-    sets of the single-element walks of the monoid and of the block monoid;
+    sets from the length tables of the monoid and of the block monoid;
     each public 2-split of its image lifted by ``lift`` and checked to
     multiply back and to have the split's class counts; then the first block
     member that no member maps to."""
@@ -271,11 +331,12 @@ def transfer_report_by_lifting(monoid, bound: int, lift=first_fit_lift):
                 counts[g] = counts.get(g, 0) + m
         return tuple(sorted(counts.items()))
 
+    lengths, image_lengths = length_table(monoid, bound), length_table(presented, bound)
     elements = splits = surjectivity = 0
     two_splits: dict = {}  # image -> its public 2-splits
     for elements, v in enumerate(monoid.elements(bound), 1):
         image = monoid.beta(v)
-        mine, theirs = monoid.length_set(v), presented.length_set(blocks.vector_of(image))
+        mine, theirs = tuple(sorted(lengths[v])), tuple(sorted(image_lengths[blocks.vector_of(image)]))
         if mine != theirs:
             return TransferReport(False, elements, splits, f"length sets differ at {v}: {mine} vs {theirs}")
         if image not in two_splits:

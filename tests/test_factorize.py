@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from factorinv import factorize
 from factorinv.abelian import make_group
 from factorinv.blocks import BlockMonoid, subset_nonzero
 from factorinv.errors import (
@@ -134,18 +135,26 @@ def test_factorizations_limit_guard():
         P.factorizations(v, limit=1)
 
 
-def test_factorizations_limit_is_enforced_while_enumerating():
+def test_factorizations_limit_is_enforced_while_enumerating(monkeypatch):
     B, P = block_presented([6])
     v = B.vector_of(B.sequence([(1,)] * 6 + [(5,)] * 6 + [(2,)] * 3 + [(4,)] * 3))
     full = P.factorizations(v, limit=None)
     assert len(full) == 28
+    memos, evaluate = [], factorize._evaluate
+
+    def spy(root, memo, *rest):
+        memos.append((len(memo), memo))
+        return evaluate(root, memo, *rest)
+
+    monkeypatch.setattr(factorize, "_evaluate", spy)
     for limit in range(len(full)):
-        B, P = block_presented([6])
+        memos.clear()
         with pytest.raises(TruncatedEnumerationError):
             P.factorizations(v, limit=limit)
-        assert all(len(entry) <= limit for entry in P._fact_cache.values())
-        # a refused walk keeps none of its memo, and a later call is unaffected
-        assert P._fact_cache == {}
+        # the walk starts from an empty memo and stores no entry past the limit
+        assert [size for size, _ in memos] == [0]
+        assert all(len(entry) <= limit for entry in memos[0][1].values())
+        # a later call is unaffected
         assert P.factorizations(v, limit=None) == full
     for limit in (len(full), len(full) + 1):
         assert block_presented([6])[1].factorizations(v, limit=limit) == full
@@ -154,6 +163,21 @@ def test_factorizations_limit_is_enforced_while_enumerating():
     P.catenary_of(v)
     with pytest.raises(TruncatedEnumerationError):
         P.factorizations(v, limit=len(full) - 1)
+
+
+@pytest.mark.parametrize("limit", ["10", True, False, -1, 1.5, 28.0])
+def test_factorizations_limit_must_be_none_or_a_count(limit):
+    B, P = block_presented([6])
+    v = B.vector_of(B.sequence([(1,)] * 6 + [(5,)] * 6 + [(2,)] * 3 + [(4,)] * 3))
+    with pytest.raises(InvalidSpecificationError, match="factorization limit"):
+        P.factorizations(v, limit=limit)
+
+
+def test_factorizations_limit_zero_refuses_every_element():
+    B, P = block_presented([6])
+    for v in ((0,) * len(P.alphabet), P.atoms[0]):
+        with pytest.raises(TruncatedEnumerationError, match="more than 0 factorizations"):
+            P.factorizations(v, limit=0)
 
 
 @pytest.mark.parametrize(

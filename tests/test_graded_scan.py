@@ -17,7 +17,7 @@ from factorinv.factorize import PresentedMonoid
 from factorinv.krull import make_krull
 
 import oracles
-from conftest import abelian_groups_up_to
+from conftest import SingleElementWalk, abelian_groups_up_to, refuse_single_element_walks
 from oracles import composition_scan, first_member_with_two_lengths, gap_scan, naive_rho2, prim_catenary
 from test_acceptance import krull_batch
 
@@ -123,23 +123,24 @@ def test_graded_elements_test_no_composition(monkeypatch):
     assert calls == {True: 0, False: 0}
 
 
-def test_catenary_lists_no_factorizations():
+def test_catenary_lists_no_factorizations(monkeypatch):
     G = make_group([2, 4])
     P = BlockMonoid(G, subset_nonzero(G)).presented()
+    H = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (1, 3), "r": (1, 2)})
+    K = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (0, 1), "r": (0, 3)})
+    # the scans read the member table or the atom pairs: no factorization is
+    # listed, and no single element's length set is walked
+    refuse_single_element_walks(monkeypatch)
     assert P.catenary(10) == 4
     assert P.delta(10) == (1, 2) and not P.half_factorial(10)[0]
-    H = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (1, 3), "r": (1, 2)})
     assert H.verify_transfer(BOUND).ok
     # the fiber catenary reads the atom pairs: (q·r)(p·q^3) = (p·r)(q^4), one fiber
-    K = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (0, 1), "r": (0, 3)})
     assert H.fiber_catenary(BOUND) == 0 and K.fiber_catenary(BOUND) == 2
-    for monoid in (P, H, H.block_monoid().presented(), K):
-        # the scans read the member table or the atom pairs: no factorization
-        # is listed, and no length set is memoized beyond the seeded zero vector
-        assert monoid._fact_cache == {}
-        assert monoid._lenset_cache == {(0,) * len(monoid.alphabet): 1}
-    assert P.catenary_of(P.atoms[0]) == 0
-    assert P._fact_cache
+    # the patch is live: one element's catenary degree and length set take the walks
+    with pytest.raises(SingleElementWalk):
+        P.catenary_of(P.atoms[0])
+    with pytest.raises(SingleElementWalk):
+        P.length_set(P.atoms[0])
 
 
 def test_catenary_below_the_first_betti_element_is_zero():
@@ -161,20 +162,27 @@ def full_block_monoid(orders):
 
 @pytest.fixture
 def memoized_oracles(monkeypatch):
-    """The oracles with their walks memoized, so that asking them at every
-    bound, from the top down, costs about one walk at the top bound.  The
-    values are unchanged: the members of norm <= b, in (norm, lex) order, are
-    a prefix of the members up to a larger bound."""
+    """The oracles with their tables and walks memoized, so that asking them
+    at every bound, from the top down, costs about one table at the top
+    bound.  The values are unchanged: the members of norm <= b, in (norm, lex)
+    order, are a prefix of the members up to a larger bound, and each row of
+    a table comes from smaller members only."""
     monkeypatch.setattr(oracles, "naive_factorizations", functools.lru_cache(maxsize=None)(oracles.naive_factorizations))
-    scanned = {}  # keyed by the monoid itself, which the key keeps alive: an id can be reused once freed
+    monkeypatch.setattr(oracles, "prim_bottleneck", functools.lru_cache(maxsize=None)(oracles.prim_bottleneck))
 
-    def prefix_scan(monoid, bound):
-        top, members = scanned.get(monoid, (-1, []))
-        if bound > top:
-            top, members = scanned[monoid] = bound, composition_scan(monoid, bound)
-        return [v for v in members if sum(v) <= bound]
+    def prefix(table_of):
+        made = {}  # keyed by the monoid itself, which the key keeps alive: an id can be reused once freed
 
-    monkeypatch.setattr(oracles, "composition_scan", prefix_scan)
+        def table(monoid, bound):
+            top, rows = made.get(monoid, (-1, {}))
+            if bound > top:
+                top, rows = made[monoid] = bound, table_of(monoid, bound)
+            return {v: row for v, row in rows.items() if sum(v) <= bound}
+
+        return table
+
+    for name in ("length_table", "factorization_table"):
+        monkeypatch.setattr(oracles, name, prefix(getattr(oracles, name)))
 
 
 def assert_capped_scans_match_the_oracles(P, bounds, prim_bounds=None):
@@ -182,7 +190,6 @@ def assert_capped_scans_match_the_oracles(P, bounds, prim_bounds=None):
     oracles.  The Prim oracle runs at ``prim_bounds`` (default: every bound);
     at the others the catenary degree is checked against the same scan with
     the length cap lifted."""
-    P.catenary_of = functools.lru_cache(maxsize=None)(P.catenary_of)
     for bound in sorted(bounds, reverse=True):
         label = (P.atoms, bound)
         assert P.rho2(bound) == naive_rho2(P.atoms, bound), label
@@ -201,7 +208,7 @@ def test_capped_scans_match_the_oracles_at_every_bound_to_twice_davenport(orders
     P = full_block_monoid(orders)
     davenport = max(map(sum, P.atoms))
     # the Prim oracle lists every factorization: over C8 it takes about 8 s at
-    # bound 15 and 90 s at 17 on a 2-vCPU host, so above 13 the uncapped scan
+    # bound 15 and 60 s at 17 on a 2-vCPU host, so above 13 the uncapped scan
     # stands in for it
     prim_bounds = range(2, 14) if orders == [8] else None
     assert_capped_scans_match_the_oracles(P, range(2, 2 * davenport + 2), prim_bounds)
@@ -238,9 +245,11 @@ def test_capped_scans_match_the_oracles_on_ungraded_monoids(memoized_oracles):
 
 def test_rho2_stops_once_the_pair_totals_cannot_beat_the_best():
     P = full_block_monoid([8])
+    walked, quotients = [], P._quotients
+    P._quotients = lambda v, start: walked.append(v) or quotients(v, start)
     # the pairs of total 16 come first, and 1^8 7^8 has length 8 = 16 // 2, the
-    # cap, so the walk stops there; a walk over every pair memoizes 1,897 keys
-    assert P.rho2(16) == 8 and len(P._lenset_cache) <= 40
+    # cap, so the walk stops there after 29 vectors; a walk over every pair walks 1,896
+    assert P.rho2(16) == 8 and len(walked) <= 40
 
 
 @pytest.mark.parametrize("orders, scan, bound, value, table", [

@@ -1,0 +1,97 @@
+"""No query changes a monoid: each factorization listing and length walk
+keeps its memo for its own call, so one monoid serves threads at once."""
+
+import sys
+import threading
+
+import pytest
+
+from factorinv.abelian import make_group
+from factorinv.blocks import BlockMonoid, subset_nonzero
+from factorinv.errors import TruncatedEnumerationError
+from factorinv.factorize import PresentedMonoid
+from factorinv.krull import make_krull
+
+
+def snapshot(x):
+    """A copy of ``x`` that compares by value: containers and the attributes
+    of objects are copied recursively, anything else (ints, strings,
+    functions) is kept as it is."""
+    if isinstance(x, dict):
+        return {key: snapshot(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return type(x), [snapshot(item) for item in x]
+    if hasattr(x, "__dict__") and not callable(x):
+        return type(x), snapshot(vars(x))
+    return x
+
+
+def queries(monoid, bound):
+    """(name, thunk) for every public query, on the member below ``bound`` with the most factorizations."""
+    v = max(monoid.elements(bound), key=lambda w: len(monoid.factorizations(w)))
+
+    def refused():
+        with pytest.raises(TruncatedEnumerationError):
+            monoid.factorizations(v, limit=1)
+
+    out = [
+        ("factorizations", lambda: monoid.factorizations(v)),
+        ("refused factorizations", refused),
+        ("length_set", lambda: monoid.length_set(v)),
+        ("catenary_of", lambda: monoid.catenary_of(v)),
+        ("catenary", lambda: monoid.catenary(bound)),
+        ("delta", lambda: monoid.delta(bound)),
+        ("rho2", lambda: monoid.rho2(bound)),
+        ("half_factorial", lambda: monoid.half_factorial(bound)),
+    ]
+    if hasattr(monoid, "verify_transfer"):
+        out += [
+            ("verify_transfer", lambda: monoid.verify_transfer(bound)),
+            ("fiber_catenary", lambda: monoid.fiber_catenary(bound)),
+        ]
+    return out
+
+
+def test_no_query_changes_a_monoid():
+    G = make_group([6])
+    blocks = BlockMonoid(G, subset_nonzero(G)).presented()
+    plain = PresentedMonoid(blocks.alphabet, blocks.membership, blocks.atoms)
+    H = make_krull(G, ["p", "q", "r", "s"], {"p": (1,), "q": (5,), "r": (2,), "s": (1,)})
+    H.block_monoid().presented()  # the one lazy field: built once, and never changed after
+    for monoid in (blocks, plain, H):
+        for name, query in queries(monoid, 8):
+            before = snapshot(monoid)
+            query()
+            assert snapshot(monoid) == before, (monoid.alphabet, name)
+
+
+def test_one_monoid_lists_factorizations_in_two_threads():
+    # each thread's listings are refused part way; a refusal must not disturb
+    # the other thread's walk on the same monoid
+    G = make_group([7])
+    P = BlockMonoid(G, subset_nonzero(G)).presented()
+    jobs = {(3,) * 6: 200, (4,) * 6: 1000}  # 263 and 2,751 factorizations
+    refusals, errors = [], []
+
+    def work(v, limit):
+        for _ in range(10):
+            try:
+                P.factorizations(v, limit=limit)
+            except TruncatedEnumerationError as exc:
+                refusals.append(str(exc))
+            except Exception as exc:  # any other exception is the failure under test
+                errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=job) for job in jobs.items()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sorted(refusals) == sorted(f"element has more than {limit} factorizations" for limit in jobs.values() for _ in range(10))
