@@ -1,6 +1,6 @@
 """Finite labeled lattices of right ideals: maximal chains of principal
-nodes model rigid factorizations, and step-label multisets drive the
-composition distance.
+nodes model rigid factorizations, and step-label multisets, derived once
+at validation, drive the composition distance.  No query changes a lattice.
 
 The built-in lattices transcribe intervals of principal right ideals in
 matrix rings over the first Weyl algebra A = K<x, y | xy - yx = 1> and over
@@ -34,11 +34,15 @@ MAX_CHAINS = 500
 @dataclass(frozen=True)
 class Chain:
     """A maximal chain of principal nodes, bottom to top, together with the
-    label multiset of each step (sorted tuples)."""
+    label multiset of each step (sorted tuples), counted once on creation."""
 
     nodes: tuple[str, ...]
     step_labels: tuple[tuple[str, ...], ...]
     lattice: "IdealLattice" = field(compare=False, repr=False)
+    _steps: Counter = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_steps", Counter(self.step_labels))
 
     @property
     def length(self) -> int:
@@ -53,16 +57,20 @@ class IdealLattice:
     paths between two comparable nodes carry equal label multisets), and
     principal top and bottom.  It walks one topological order and keeps per
     node its descendant bitset, its label counts below the top and its
-    principal covers, so later queries are lookups.  Validation takes
-    O(V + E) steps on V-bit sets; chains cost their total length to list,
-    at most MAX_CHAINS of them, and ``length_set`` does not list them.
+    principal covers with their step labels; queries only read them.
+    Validation takes O(V + E) steps on V-bit sets; chains cost their total
+    length to list, at most MAX_CHAINS of them, and ``length_set`` lists none.
     """
 
     def __init__(self, simples, nodes, covers, top, bottom):
+        if not isinstance(simples, (list, tuple)) or not all(isinstance(s, str) for s in simples):
+            raise InvalidSpecificationError(f"simples must be a list of strings, got {simples!r}")
         self.simples = tuple(simples)
         self.principal = {}
         for node in nodes:
             node_id, flag = node["id"], node["principal"]
+            if not isinstance(node_id, str):
+                raise InvalidSpecificationError(f"node id must be a string, got {node_id!r}")
             if node_id in self.principal:
                 raise InvalidSpecificationError(f"duplicate node id {node_id!r}")
             if not isinstance(flag, bool):
@@ -84,7 +92,6 @@ class IdealLattice:
             self._below[upper].append((lower, label))
         self._validate()
         self._covers_above = self._principal_covers()
-        self._chains: tuple[Chain, ...] | None = None
 
     @classmethod
     def from_doc(cls, doc) -> "IdealLattice":
@@ -130,8 +137,6 @@ class IdealLattice:
         lowers = {l for _, l, _ in self.covers}
         maximal = nodes - lowers
         minimal = nodes - uppers
-        if len(nodes) == 1:
-            maximal = minimal = nodes
         if maximal != {self.top}:
             raise ExtremaError(f"expected unique top {self.top!r}, maximal nodes are {sorted(maximal)}")
         if minimal != {self.bottom}:
@@ -171,10 +176,10 @@ class IdealLattice:
         if not self.principal[self.bottom]:
             raise NonPrincipalBoundError(f"bottom {self.bottom!r} must be principal")
 
-    def _principal_covers(self) -> dict[str, list[str]]:
-        """The minimal principal strict ancestors of every node, top-down:
-        those of a node are the minimal ones among its principal parents and
-        the sets already found for its other parents."""
+    def _principal_covers(self) -> dict[str, list[tuple[str, tuple[str, ...]]]]:
+        """Per node, top-down, its minimal principal strict ancestors with the
+        sorted labels of the step up to each: the minimal ones among its
+        principal parents and the sets already found for its other parents."""
         order, reach = self._order, self._reach
         candidates = dict.fromkeys(order, 0)
         out = {}
@@ -187,12 +192,17 @@ class IdealLattice:
                 above = order[low.bit_length() - 1]
                 if reach[above] & mask == low:
                     keep |= low
-                    kept.append(above)
+                    kept.append((above, tuple(sorted(self._step(above, node).elements()))))
             out[node] = sorted(kept)
             passed = 1 << self._index[node] if self.principal[node] else keep
             for child, _ in self._below[node]:
                 candidates[child] |= passed
         return out
+
+    def _step(self, upper: str, lower: str) -> Counter:
+        """Label multiset from upper down to lower, in declaration order."""
+        pairs = zip(self._labels, self._counts[upper], self._counts[lower])
+        return Counter({label: b - a for label, a, b in pairs if b > a})
 
     # -- intervals and chains -------------------------------------------------
 
@@ -201,8 +211,7 @@ class IdealLattice:
         by validation)."""
         if not self.comparable(upper, lower):
             raise IncomparableError(f"{lower!r} is not below {upper!r}")
-        pairs = zip(self._labels, self._counts[upper], self._counts[lower])
-        return Counter({label: b - a for label, a, b in pairs if b > a})
+        return self._step(upper, lower)
 
     def comparable(self, upper: str, lower: str) -> bool:
         return bool(self._reach[upper] >> self._index[lower] & 1)
@@ -213,7 +222,7 @@ class IdealLattice:
     def principal_covers_above(self, node: str) -> list[str]:
         """Principal nodes strictly above ``node`` with no principal node in
         between."""
-        return list(self._covers_above[node])
+        return [upper for upper, _ in self._covers_above[node]]
 
     def rigid_factorizations(self) -> tuple[Chain, ...]:
         """All maximal chains of principal nodes from bottom to top.
@@ -223,24 +232,18 @@ class IdealLattice:
         interval's composition-factor multiset.  A lattice with more than
         MAX_CHAINS of them raises TruncatedEnumerationError during the walk.
         """
-        if self._chains is None:
-            chains, path, steps = [], [], []
-            stack = [(self.bottom, 0, ())]
-            while stack:
-                node, depth, step = stack.pop()
-                del path[depth:], steps[depth:]
-                path.append(node)
-                steps.append(step)
-                if node == self.top:
-                    if len(chains) == MAX_CHAINS:
-                        raise TruncatedEnumerationError(
-                            f"lattice has more than {MAX_CHAINS} maximal principal chains")
-                    chains.append(Chain(tuple(path), tuple(steps[1:]), self))
-                for upper in self._covers_above[node]:
-                    labels = tuple(sorted(self.interval_labels(upper, node).elements()))
-                    stack.append((upper, depth + 1, labels))
-            self._chains = tuple(sorted(chains, key=lambda c: c.nodes))
-        return self._chains
+        chains, path, steps = [], [], []
+        stack = [(self.bottom, 0, ())]
+        while stack:
+            node, depth, step = stack.pop()
+            path[depth:], steps[depth:] = [node], [step]
+            if node == self.top:
+                if len(chains) == MAX_CHAINS:
+                    raise TruncatedEnumerationError(
+                        f"lattice has more than {MAX_CHAINS} maximal principal chains")
+                chains.append(Chain(tuple(path), tuple(steps[1:]), self))
+            stack.extend((upper, depth + 1, labels) for upper, labels in self._covers_above[node])
+        return tuple(sorted(chains, key=lambda c: c.nodes))
 
     def length_set(self) -> tuple[int, ...]:
         """Lengths of the maximal principal chains, by dynamic programming
@@ -248,7 +251,7 @@ class IdealLattice:
         bottom reaches it in k steps)."""
         reached = {self.bottom: 1}
         for node in reversed(self._order):
-            for upper in self._covers_above[node] if node in reached else ():
+            for upper, _ in self._covers_above[node] if node in reached else ():
                 reached[upper] = reached.get(upper, 0) | reached[node] << 1
         return _lengths(reached[self.top])
 
@@ -259,7 +262,7 @@ def composition_distance(c1: Chain, c2: Chain) -> int:
     remaining count is returned."""
     if c1.lattice is not c2.lattice:
         raise IncomparableError("chains belong to different lattices")
-    return _multiset_distance(Counter(c1.step_labels), Counter(c2.step_labels))
+    return _multiset_distance(c1._steps, c2._steps)
 
 
 # -- built-in lattices --------------------------------------------------------

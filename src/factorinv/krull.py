@@ -72,7 +72,6 @@ class KrullMonoid(PresentedMonoid):
         self._image = image
         classes = tuple(self.classes[p] for p in self.primes)
         super().__init__(alphabet=self.primes, **_zero_sum_presentation(group, classes))
-        self._atom_images = tuple(self._image(a) for a in self.atoms)
 
     @classmethod
     def from_doc(cls, doc) -> "KrullMonoid":
@@ -210,7 +209,7 @@ class KrullMonoid(PresentedMonoid):
         return TransferReport(True, elements, splits, None, len(images))
 
     def atom_image(self, atom_index: int) -> Sequence:
-        return self._blocks._sequence(self._atom_images[atom_index])
+        return self._blocks._sequence(self._image(self.atoms[atom_index]))
 
     def fiber_catenary(self, size_bound: int) -> int:
         """Worst catenary degree inside a fiber of the transfer map, over the

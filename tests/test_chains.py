@@ -15,6 +15,7 @@ from factorinv.errors import (
     CoverCycleError,
     ExtremaError,
     IncomparableError,
+    InvalidSpecificationError,
     LabelMultisetError,
     LatticeValidationError,
     NonPrincipalBoundError,
@@ -23,6 +24,7 @@ from factorinv.errors import (
 )
 
 from oracles import ExhaustiveLattice, principal_grid
+from test_stateless import snapshot
 
 
 def total_order(labels=("s", "s"), principal=(True, True, True)):
@@ -112,6 +114,19 @@ def test_load_accepts_consistent_diamond():
     lattice = load_lattice(doc)
     chains = lattice.rigid_factorizations()
     assert [c.nodes for c in chains] == [("bot", "l", "top")]
+
+
+def test_load_rejects_names_that_are_not_strings():
+    numbered = {"simples": ["s"], "nodes": [{"id": 1, "principal": True}, {"id": 2, "principal": True}],
+                "covers": [{"upper": 1, "lower": 2, "label": "s"}], "top": 1, "bottom": 2}
+    cases = [
+        (total_order(labels=(1,)), r"^simples must be a list of strings, got \[1\]$"),
+        ({**total_order(labels=("S",)), "simples": "S"}, "^simples must be a list of strings, got 'S'$"),
+        (numbered, "^node id must be a string, got 1$"),
+    ]
+    for doc, message in cases:
+        with pytest.raises(InvalidSpecificationError, match=message):
+            load_lattice(doc)
 
 
 def test_load_rejects_nonprincipal_extrema():
@@ -350,8 +365,9 @@ def test_chains_are_capped_while_they_are_listed():
     assert len(load_lattice(principal_grid(6, 6)).rigid_factorizations()) == 252
     for size in (7, 32):  # C(12, 6) = 924 chains, and C(62, 31) ≈ 4.65e17
         lattice = load_lattice(principal_grid(size, size))
+        before = snapshot(lattice)
         with pytest.raises(TruncatedEnumerationError, match="^lattice has more than 500 maximal principal chains$"):
             lattice.rigid_factorizations()
-        assert lattice._chains is None  # nothing cached from a cut walk
+        assert snapshot(lattice) == before  # a cut walk leaves nothing behind
         assert lattice.length_set() == (2 * size - 2,)  # uncapped: it lists no chains
         assert lattice.composition_length() == 2 * size - 2

@@ -31,6 +31,14 @@ LATTICE = {
     "top": "a",
     "bottom": "c",
 }
+# simples and node ids that are not strings: each ends in one error line
+BAD_LATTICES = [
+    {**LATTICE, "simples": [1], "covers": [{"upper": "a", "lower": "b", "label": 1},
+                                           {"upper": "b", "lower": "c", "label": 1}]},
+    {"simples": ["s"], "nodes": [{"id": 1, "principal": True}, {"id": 2, "principal": True}],
+     "covers": [{"upper": 1, "lower": 2, "label": "s"}], "top": 1, "bottom": 2},
+    {**LATTICE, "simples": "s"},
+]
 TOWERS = [
     {"group": {"orders": [2]}, "towers": [{"name": "T", "type": "cycle", "length": 2, "class": [1]}]},
     {"group": {"orders": [2]}, "towers": [{"name": "F", "type": "faithful", "length": 1, "class": [0]},
@@ -47,14 +55,15 @@ BAD_PRIMES = [
     {"group": {"orders": [2]}, "primes": [{"name": a, "class": [1]}, {"name": b, "class": [1]}]}
     for a, b in ((5, "5"), (None, "q"), (True, 1))
 ]
-# documents by action, valid but for BAD_NAMES and BAD_PRIMES; every other action reads a group or a block monoid
+# documents by action, valid but for BAD_NAMES, BAD_PRIMES and BAD_LATTICES; every other action reads a group or
+# a block monoid
 DOCUMENTS = {
     "verify": [KRULL] + BAD_PRIMES,
     "fiber-catenary": [KRULL] + BAD_PRIMES,
     "synth": TOWERS + BAD_NAMES,
     "genus-step": TOWERS + BAD_NAMES,
     "submodule": [{"cycle_length": 2, "arcs": [{"bottom": 0, "length": 3}]}],
-    "analyze": [LATTICE, principal_grid(7, 7)],  # 924 chains, over the cap
+    "analyze": [LATTICE, *BAD_LATTICES, principal_grid(7, 7)],  # the grid has 924 chains, over the cap
 }
 GROUPS = [{"orders": [2, 2]}, {"group": {"orders": [4]}, "subset": [[1], [3]]}]
 

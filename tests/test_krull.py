@@ -215,6 +215,9 @@ def test_atom_correspondence():
             assert image_key in block_atoms
         elif image_key in block_atoms:
             assert v in atom_set, f"{v} should be an atom"
+    assert [H.atom_image(i) for i in range(len(H.atoms))] == [H.beta(a) for a in H.atoms]
+    with pytest.raises(IndexError, match="^tuple index out of range$"):
+        H.atom_image(len(H.atoms))
 
 
 def test_lift_factorization_atom_identity():
