@@ -77,6 +77,7 @@ class IdealLattice:
                 raise InvalidSpecificationError(f"principal flag of {node_id!r} must be boolean")
             self.principal[node_id] = flag
         self.covers = []
+        self._below: dict[str, dict[str, str]] = {n: {} for n in self.principal}  # lower -> label, per upper
         for cover in covers:
             upper, lower, label = cover["upper"], cover["lower"], cover["label"]
             for node_id in (upper, lower):
@@ -84,12 +85,12 @@ class IdealLattice:
                     raise InvalidSpecificationError(f"cover references unknown node {node_id!r}")
             if label not in self.simples:
                 raise InvalidSpecificationError(f"cover label {label!r} is not a declared simple")
+            if lower in self._below[upper]:
+                raise InvalidSpecificationError(f"cover {upper!r} -> {lower!r} is given twice")
             self.covers.append((upper, lower, label))
+            self._below[upper][lower] = label
         self.top = top
         self.bottom = bottom
-        self._below: dict[str, list[tuple[str, str]]] = {n: [] for n in self.principal}
-        for upper, lower, label in self.covers:
-            self._below[upper].append((lower, label))
         self._validate()
         self._covers_above = self._principal_covers()
 
@@ -123,7 +124,7 @@ class IdealLattice:
             indegree[lower] += 1
         order = [n for n, d in indegree.items() if d == 0]
         for node in order:
-            for child, _ in self._below[node]:
+            for child in self._below[node]:
                 indegree[child] -= 1
                 if indegree[child] == 0:
                     order.append(child)
@@ -147,11 +148,11 @@ class IdealLattice:
         self._reach = reach = {}
         for node in reversed(order):
             bits = 1 << self._index[node]
-            for child, _ in self._below[node]:
+            for child in self._below[node]:
                 bits |= reach[child]
             reach[node] = bits
         for upper, lower, _ in self.covers:
-            for child, _ in self._below[upper]:
+            for child in self._below[upper]:
                 if child != lower and self.comparable(child, lower):
                     raise CoverCycleError(f"cover {upper!r} -> {lower!r} shortcuts a longer path")
 
@@ -163,7 +164,7 @@ class IdealLattice:
         self._counts = counts = {self.top: (0,) * len(slot)}
         for node in order:
             base = counts[node]
-            for child, label in self._below[node]:
+            for child, label in self._below[node].items():
                 k = slot[label]
                 step = base[:k] + (base[k] + 1,) + base[k + 1:]
                 if counts.setdefault(child, step) != step:
@@ -195,7 +196,7 @@ class IdealLattice:
                     kept.append((above, tuple(sorted(self._step(above, node).elements()))))
             out[node] = sorted(kept)
             passed = 1 << self._index[node] if self.principal[node] else keep
-            for child, _ in self._below[node]:
+            for child in self._below[node]:
                 candidates[child] |= passed
         return out
 

@@ -8,7 +8,8 @@ catenary degree from the Betti elements, the transfer check) read one member
 table, filled in (norm, lex) order: each member's dividing atoms and length
 set as int bitmasks, from the rows of its quotients.  One element's length
 set is a memoized walk and its catenary degree the Prim bottleneck of its
-factorizations; rho2 and the Krull fiber catenary walk the pairs of atoms.
+factorizations; rho2, the first pass of catenary and delta, and the Krull
+fiber catenary walk the pairs of atoms, the first three in one loop.
 Each public call builds its own memo, so no query changes a monoid.
 
 Public methods validate their input once; internal scans work on trusted
@@ -18,6 +19,7 @@ int count vectors with explicit stacks, so no element meets a recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import add, mul, sub
 from typing import Callable, Iterator, Optional
 
@@ -328,9 +330,15 @@ class PresentedMonoid:
         linked by shared atoms) are the components of the graph on the atoms
         dividing v with a ~ a' when a' divides v - a (the member table); μ(v)
         is the largest least length of a class, and a Betti element has two
-        classes or more.  0 when no member has two classes.  μ(v) is a length
-        of v, so the scan stops at the length cap."""
+        classes or more.  0 when no member has two classes.  μ(v) <= max L(v)
+        <= the length cap, so the walk stops at the cap.  First, if
+        :meth:`_pairs_pay`, a pair product uv at the cap with L(uv) = {2,
+        cap} settles the answer as the cap: uv is a member within the bound,
+        and a length-2 factorization shares no atom with another (u' | z
+        means z = u'v'), so the class of a length-cap one has least length cap."""
         worst, cap = 0, self._length_cap(size_bound)
+        if self._pairs_pay(size_bound) and any(l == 4 | 1 << cap for l in self._pair_lengths(size_bound, lambda: cap)):
+            return cap
         for _, mask, _, below in self._members(size_bound):
             classes, rest = [], mask  # the R-classes, as atom bitmasks
             while rest:
@@ -350,15 +358,24 @@ class PresentedMonoid:
         return worst
 
     def delta(self, size_bound: int) -> tuple[int, ...]:
-        """Union of the gap sets of the members of 1-norm <= size_bound; stops at [1, length cap - 2]."""
+        """Union of the gap sets of the members of 1-norm <= size_bound; stops at [1, length cap - 2].
+        Pair products at the cap come first, as in :meth:`catenary`, and all of them once one has the gap cap - 2."""
         cap, seen, gaps = self._length_cap(size_bound), set(), set()
-        for _, _, lengths, _ in self._members(size_bound):
+        first = self._pairs_pay(size_bound)
+        pairs = self._pair_lengths(size_bound, lambda: 0 if cap - 2 in gaps else cap) if first else ()
+        for lengths in chain(pairs, (row[2] for row in self._members(size_bound))):
             if lengths not in seen:
                 seen.add(lengths)
                 gaps.update(delta_of_set(_lengths(lengths)))
                 if len(gaps) >= cap - 2:
                     break
         return tuple(sorted(gaps))
+
+    def _pairs_pay(self, size_bound: int) -> bool:
+        """Whether catenary and delta walk the pair products first: not at a cap <= 2, nor with an atom of norm 1
+        (the cap of uv is then |u| + |v|, a length only if u and v are letters, and then L(uv) = {2}), nor below
+        size_bound = 2 x the largest atom norm, where in the zero_sum_scan benchmark it cost more than it saved."""
+        return self._length_cap(size_bound) > 2 and self._least_norm > 1 and size_bound >= 2 * max(map(sum, self.atoms))
 
     def _length_cap(self, size_bound: int) -> int:
         """No member of 1-norm <= size_bound has a factorization longer than this."""
@@ -375,17 +392,24 @@ class PresentedMonoid:
                     yield a, b
 
     def rho2(self, size_bound: int) -> int:
-        """Largest factorization length of a product of two atoms of total 1-norm <= size_bound;
-        by descending pair total, it stops at the first pair whose length cap is at most the best.
-        The pairs' length walks share one memo, kept for this call."""
+        """Largest factorization length of a product of two atoms of total 1-norm <= size_bound,
+        from the pair loop, which :meth:`catenary` and :meth:`delta` share: it stops at the first
+        pair whose length cap is at most the best."""
         if _bound(size_bound) < 2:
             raise InvalidSpecificationError("rho2 needs size_bound >= 2")
-        best, memo = 0, {}
-        for a, b in self._atom_pairs(size_bound):
-            if self._length_cap(sum(a) + sum(b)) <= best:
-                break
-            best = max(best, self._length_set(tuple(map(add, a, b)), memo).bit_length() - 1)
+        best = 0
+        for lengths in self._pair_lengths(size_bound, lambda: best + 1):
+            best = max(best, lengths.bit_length() - 1)
         return best
+
+    def _pair_lengths(self, size_bound: int, floor: Callable[[], int]) -> Iterator[int]:
+        """The pair loop: length-set bitmasks of the products of :meth:`_atom_pairs`, in its order, from one memo,
+        up to the first pair whose own cap, (|a| + |b|) // least norm, is below ``floor()``."""
+        memo: dict = {}
+        for a, b in self._atom_pairs(size_bound):
+            if (sum(a) + sum(b)) // self._least_norm < floor():
+                return
+            yield self._length_set(tuple(map(add, a, b)), memo)
 
     def half_factorial(self, size_bound: int):
         """(True, None) when every member of 1-norm <= size_bound has a

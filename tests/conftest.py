@@ -1,4 +1,5 @@
 import itertools
+from operator import sub
 
 from factorinv.factorize import PresentedMonoid
 
@@ -45,12 +46,22 @@ class SingleElementWalk(Exception):
     """Raised by a patched factorization listing or single-element length walk."""
 
 
-def refuse_single_element_walks(monkeypatch):
+def refuse_single_element_walks(monkeypatch, pair_bound=lambda: -1):
     """Make every factorization listing and single-element length walk of a
-    :class:`PresentedMonoid` raise :class:`SingleElementWalk`."""
+    :class:`PresentedMonoid` raise :class:`SingleElementWalk`, except the
+    length walk of a + b for two atoms a, b with |a| + |b| <= ``pair_bound()``
+    (by default, none): the pair pass of ``catenary`` and ``delta``."""
 
     def refuse(*args):
         raise SingleElementWalk(args)
 
+    length_set = PresentedMonoid._length_set
+
+    def pair_products_only(self, v, memo):
+        atoms = set(self.atoms)
+        if sum(v) <= pair_bound() and any(tuple(map(sub, v, a)) in atoms for a in atoms):
+            return length_set(self, v, memo)
+        refuse(self, v, memo)
+
     monkeypatch.setattr(PresentedMonoid, "_factorizations_from", refuse)
-    monkeypatch.setattr(PresentedMonoid, "_length_set", refuse)
+    monkeypatch.setattr(PresentedMonoid, "_length_set", pair_products_only)

@@ -26,7 +26,7 @@ from factorinv.towers import (
     standard_genus,
 )
 
-from conftest import abelian_groups_up_to, refuse_single_element_walks
+from conftest import SingleElementWalk, abelian_groups_up_to, refuse_single_element_walks
 from oracles import (
     davenport_brute,
     fiber_catenary_by_listing,
@@ -375,12 +375,16 @@ def test_criterion_12_catenary_degrees_from_the_literature(monkeypatch):
     start = time.time()
     cases = [([n], 2 * n, n) for n in range(3, 9)] + [([3, 3], 10, 3), ([2, 4], 10, 4)]
     cases += [([2, 2, 2], 8, 4), ([2, 2, 2, 2], 10, 5)]
-    refuse_single_element_walks(monkeypatch)  # from the Betti elements, listing no factorization
+    # from the Betti elements and the products of two atoms within the bound
+    # of the case being scanned, listing no factorization
+    refuse_single_element_walks(monkeypatch, lambda: bound)
     for orders, bound, expected in cases:
         G = make_group(orders)
         P = BlockMonoid(G, subset_nonzero(G)).presented()
         assert P.catenary(bound) == expected, (orders, bound)
+    with pytest.raises(SingleElementWalk):  # the patch is live
+        P.length_set(P.atoms[0])
     elapsed = time.time() - start
     report(12, f"c(C_n) = n for 3 <= n <= 8 at bound 2n, c(C3xC3) = 3, c(C2xC4) = 4 and "
                f"c(C2^4) = 5 at bound 10, c(C2^3) = 4 at bound 8, from Betti elements "
-               f"alone ({elapsed:.1f}s)")
+               f"and atom pair products alone ({elapsed:.1f}s)")

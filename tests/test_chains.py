@@ -129,6 +129,16 @@ def test_load_rejects_names_that_are_not_strings():
             load_lattice(doc)
 
 
+def test_load_rejects_a_cover_given_twice():
+    # a Hasse diagram has no repeated edge, with the same label or another
+    for label in ("s", "t"):
+        doc = total_order(labels=("s",))
+        doc["simples"] = ["s", "t"]
+        doc["covers"].append({"upper": "n0", "lower": "n1", "label": label})
+        with pytest.raises(InvalidSpecificationError, match="^cover 'n0' -> 'n1' is given twice$"):
+            load_lattice(doc)
+
+
 def test_load_rejects_nonprincipal_extrema():
     doc = total_order(principal=(False, True, True))
     with pytest.raises(NonPrincipalBoundError):

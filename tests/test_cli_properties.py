@@ -31,13 +31,14 @@ LATTICE = {
     "top": "a",
     "bottom": "c",
 }
-# simples and node ids that are not strings: each ends in one error line
+# simples and node ids that are not strings, and a repeated cover: each ends in one error line
 BAD_LATTICES = [
     {**LATTICE, "simples": [1], "covers": [{"upper": "a", "lower": "b", "label": 1},
                                            {"upper": "b", "lower": "c", "label": 1}]},
     {"simples": ["s"], "nodes": [{"id": 1, "principal": True}, {"id": 2, "principal": True}],
      "covers": [{"upper": 1, "lower": 2, "label": "s"}], "top": 1, "bottom": 2},
     {**LATTICE, "simples": "s"},
+    {**LATTICE, "covers": LATTICE["covers"] + LATTICE["covers"][:1]},  # a cover given twice
 ]
 TOWERS = [
     {"group": {"orders": [2]}, "towers": [{"name": "T", "type": "cycle", "length": 2, "class": [1]}]},

@@ -133,6 +133,9 @@ CASES = {
     "blocks_catenary_4": (["blocks", "catenary", "--orders", "4"], {}, False),
     "blocks_catenary_4_threads_4": (["blocks", "catenary", "--orders", "4", "--threads", "4"], {}, False),
     "blocks_catenary_4_threads_0": (["blocks", "catenary", "--orders", "4", "--threads", "0"], {}, False),
+    # settled by the atom pair products at the length cap, before the member table
+    "blocks_catenary_12": (["blocks", "catenary", "--orders", "12"], {}, False),
+    "blocks_delta_12": (["blocks", "delta", "--orders", "12"], {}, False),
     "group_info_threads_env_abc": (["group", "info", "--orders", "4"], {THREADS_ENV: "abc"}, False),
     "blocks_davenport_threads_env_2": (["blocks", "davenport", "--orders", "2"], {THREADS_ENV: "2"}, False),
     "blocks_lengths_deep": (

@@ -129,8 +129,8 @@ def test_catenary_lists_no_factorizations(monkeypatch):
     H = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (1, 3), "r": (1, 2)})
     K = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (0, 1), "r": (0, 3)})
     # the scans read the member table or the atom pairs: no factorization is
-    # listed, and no single element's length set is walked
-    refuse_single_element_walks(monkeypatch)
+    # listed, and no length set is walked but those of atom pair products
+    refuse_single_element_walks(monkeypatch, lambda: 10)
     assert P.catenary(10) == 4
     assert P.delta(10) == (1, 2) and not P.half_factorial(10)[0]
     assert H.verify_transfer(BOUND).ok
@@ -271,3 +271,68 @@ def test_delta_tests_the_cap_without_building_it():
     started = time.perf_counter()
     assert P.delta(10**20) == (1, 2)
     assert time.perf_counter() - started < 0.5
+
+
+# -- the pair pass: catenary and delta settled by an atom pair product at the length cap
+
+
+class MemberTable(Exception):
+    """Raised by a patched member table."""
+
+
+@pytest.mark.parametrize("orders", [[n] for n in range(3, 13)] + [[2, 2, 2], [2, 2, 2, 2]],
+                         ids=lambda o: "x".join(map(str, o)))
+def test_a_pair_product_settles_catenary_and_delta_without_the_member_table(orders):
+    P = full_block_monoid(orders)
+    davenport = max(map(sum, P.atoms))
+    # C2^4 at bound 10, as in criterion 12, and every other group at 2 D(G):
+    # the cap is D(G), reached by U (-U) for an atom U of norm D(G)
+    bound = 10 if orders == [2, 2, 2, 2] else 2 * davenport
+    cap = bound // 2
+
+    def refuse(bound):  # a generator, as the table is: it raises once read
+        raise MemberTable(bound)
+        yield
+
+    P._members = refuse
+    assert P.catenary(bound) == cap
+    assert P.delta(bound) == tuple(range(1, cap - 1))
+    with pytest.raises(MemberTable):  # the patch is live
+        P.half_factorial(bound)
+
+
+@pytest.mark.parametrize("orders, catenary, delta", [([3, 3], 3, (1,)), ([2, 4], 4, (1, 2))])
+def test_no_pair_settles_where_the_catenary_degree_is_below_the_cap(orders, catenary, delta):
+    P = full_block_monoid(orders)
+    bound = 2 * max(map(sum, P.atoms))
+    rows, members = [], P._members
+    P._members = lambda bound: (rows.append(row) or row for row in members(bound))
+    assert P.catenary(bound) == catenary and rows
+    rows.clear()
+    assert P.delta(bound) == delta and rows
+
+
+def test_no_pair_is_read_below_twice_the_largest_atom_norm_nor_with_an_atom_of_norm_one(monkeypatch):
+    # below 2 D(C7) = 14 the pass is not run, though a pair would settle C7 at 13: over the
+    # zero_sum_scan jobs below that bound it cost more than it saved
+    P = full_block_monoid([7])
+    G = make_group([5])
+    with_zero = BlockMonoid(G, G.elements()).presented()  # 0 is an atom of norm 1: no pair can settle
+    refuse_single_element_walks(monkeypatch)
+    assert P.catenary(13) == 6 and P.delta(13) == (1, 2, 3, 4)
+    assert with_zero.catenary(10) == 5 and with_zero.delta(10) == (1, 2, 3)
+    with pytest.raises(SingleElementWalk):  # the patch is live
+        P.rho2(13)
+
+
+def test_a_pair_product_with_the_single_length_two_settles_nothing():
+    G = make_group([3])
+    P = BlockMonoid(G, [(1,)]).presented()  # one atom, 1^3: every member factors uniquely
+    assert [(P.catenary(bound), P.delta(bound)) for bound in (6, 7, 8)] == [(0, ())] * 3
+
+
+def test_the_pair_pass_reads_no_pair_without_a_finite_cap(monkeypatch):
+    P = full_block_monoid([5])
+    P._length_cap = lambda size_bound: float("inf")  # 1 << cap would raise TypeError
+    refuse_single_element_walks(monkeypatch)
+    assert P.catenary(10) == 5 and P.delta(10) == (1, 2, 3)
