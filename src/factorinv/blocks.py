@@ -11,7 +11,7 @@ such an atom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .abelian import Element, FinAbGroup, _is_int, _tables, _translate, _zero_sum_test
 from .errors import InvalidElementError, InvalidSpecificationError
@@ -31,8 +31,9 @@ class Sequence:
 
     @classmethod
     def from_counts(cls, group: FinAbGroup, counts) -> "Sequence":
+        """The sequence of (element, exponent) pairs, or of a mapping's items; repeated elements add up."""
         merged: dict[Element, int] = {}
-        for g, m in dict(counts).items():
+        for g, m in counts.items() if isinstance(counts, Mapping) else counts:
             if not _is_int(m) or m < 0:
                 raise InvalidElementError(f"exponent of {g!r} must be a nonnegative integer")
             if m:
@@ -132,7 +133,6 @@ class BlockMonoid:
         if not subset:
             raise InvalidSpecificationError("the subset G0 must be nonempty")
         self.subset = subset
-        self._presented: PresentedMonoid | None = None
 
     # -- conversions -------------------------------------------------------
 
@@ -163,11 +163,8 @@ class BlockMonoid:
     # -- the monoid --------------------------------------------------------
 
     def presented(self) -> PresentedMonoid:
-        """The exponent-vector presentation of this monoid (cached)."""
-        if self._presented is None:
-            presentation = _zero_sum_presentation(self.group, self.subset)
-            self._presented = PresentedMonoid(alphabet=self.subset, **presentation)
-        return self._presented
+        """The exponent-vector presentation of this monoid, built on each call: keep it to reuse it."""
+        return PresentedMonoid(alphabet=self.subset, **_zero_sum_presentation(self.group, self.subset))
 
     def atoms(self) -> tuple[Sequence, ...]:
         """All minimal zero-sum sequences over the subset, sorted."""

@@ -120,7 +120,7 @@ class PresentedMonoid:
         self._graded = grading and _zero_sum_test(*grading)  # the class sum test of a grading
         self.atoms = tuple(tuple(a) for a in atoms)
         self._validate_atoms()
-        self._least_norm = min(map(sum, self.atoms), default=1)
+        self._least_norm = min((n for n in map(sum, self.atoms) if n > 1), default=1)  # of the non-primes
 
     def _validate_atoms(self):
         seen = set()
@@ -330,8 +330,9 @@ class PresentedMonoid:
         linked by shared atoms) are the components of the graph on the atoms
         dividing v with a ~ a' when a' divides v - a (the member table); μ(v)
         is the largest least length of a class, and a Betti element has two
-        classes or more.  0 when no member has two classes.  μ(v) <= max L(v)
-        <= the length cap, so the walk stops at the cap.  First, if
+        classes or more.  0 when no member has two classes.  A member holding
+        a prime letter has one class, so a Betti element holds none and μ(v)
+        <= max L(v) <= the length cap: the walk stops at the cap.  First, if
         :meth:`_pairs_pay`, a pair product uv at the cap with L(uv) = {2,
         cap} settles the answer as the cap: uv is a member within the bound,
         and a length-2 factorization shares no atom with another (u' | z
@@ -372,13 +373,14 @@ class PresentedMonoid:
         return tuple(sorted(gaps))
 
     def _pairs_pay(self, size_bound: int) -> bool:
-        """Whether catenary and delta walk the pair products first: not at a cap <= 2, nor with an atom of norm 1
-        (the cap of uv is then |u| + |v|, a length only if u and v are letters, and then L(uv) = {2}), nor below
+        """Whether catenary and delta walk the pair products first: not at a cap <= 2, nor below
         size_bound = 2 x the largest atom norm, where in the zero_sum_scan benchmark it cost more than it saved."""
-        return self._length_cap(size_bound) > 2 and self._least_norm > 1 and size_bound >= 2 * max(map(sum, self.atoms))
+        return self._length_cap(size_bound) > 2 and size_bound >= 2 * max(map(sum, self.atoms), default=0)
 
     def _length_cap(self, size_bound: int) -> int:
-        """No member of 1-norm <= size_bound has a factorization longer than this."""
+        """No member of 1-norm <= size_bound holding no prime letter has a factorization longer than this. An
+        atom of norm 1 is a letter no other atom holds (none lies below another), so a prime: it adds one to
+        every length of a member holding it and changes no gap and no R-class."""
         return _bound(size_bound) // self._least_norm
 
     def _atom_pairs(self, size_bound: int) -> Iterator[tuple[Vector, Vector]]:
@@ -404,10 +406,11 @@ class PresentedMonoid:
 
     def _pair_lengths(self, size_bound: int, floor: Callable[[], int]) -> Iterator[int]:
         """The pair loop: length-set bitmasks of the products of :meth:`_atom_pairs`, in its order, from one memo,
-        up to the first pair whose own cap, (|a| + |b|) // least norm, is below ``floor()``."""
+        up to the first pair whose own cap, max(2, (|a| + |b|) // least norm), is below ``floor()``; a pair
+        holding a prime has L = {2}."""
         memo: dict = {}
         for a, b in self._atom_pairs(size_bound):
-            if (sum(a) + sum(b)) // self._least_norm < floor():
+            if max(2, (sum(a) + sum(b)) // self._least_norm) < floor():
                 return
             yield self._length_set(tuple(map(add, a, b)), memo)
 

@@ -66,6 +66,21 @@ def test_vector_of_rejects_a_sequence_over_another_group():
         B.vector_of(Sequence.from_counts(make_group([4]), {(1,): 3}))
 
 
+def test_from_counts_adds_the_exponents_of_a_repeated_element():
+    G = make_group([3])
+    assert Sequence.from_counts(G, [((1,), 1), ((1,), 2)]) == Sequence(G, (((1,), 3),))
+    assert str(Sequence.from_counts(G, [((2,), 1), ((1,), 1), ((2,), 2)])) == "1·2^3"
+    assert Sequence.from_counts(G, {(2,): 2, (1,): 0}) == Sequence(G, (((2,), 2),))
+
+
+def test_sequence_of_and_zero_sum_up_to_refuse_bad_input():
+    B = BlockMonoid(make_group([3]), [(1,), (2,)])
+    with pytest.raises(InvalidElementError, match=r"^vector arity 3 != \|G0\| = 2$"):
+        B.sequence_of((1, 1, 1))
+    with pytest.raises(InvalidSpecificationError, match="^maxlen must be >= 0$"):
+        B.zero_sum_up_to(-1)
+
+
 def test_atoms_zero_alone():
     G = make_group([4])
     B = BlockMonoid(G, [(0,)])

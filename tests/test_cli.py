@@ -430,6 +430,51 @@ def test_spec_and_inline_together_are_rejected(argv, doc, tmp_path, capsys):
         assert capsys.readouterr().err == "error: exactly one of --spec FILE or --inline JSON is required\n"
 
 
+def lattice_doc(**fields):
+    """LATTICE_AB with some fields replaced."""
+    return json.dumps({**json.loads(LATTICE_AB), **fields})
+
+
+NODES_AB = [{"id": "a", "principal": True}, {"id": "b", "principal": True}]
+GENUS_STEP = ["towers", "genus-step", "--inline", TOWER_S, "--genus", '{"udim": 1}', "--simple"]
+# (argv, the message of its one error line); "{spec}" stands for a file that is not JSON
+REFUSALS = [
+    (["group", "info", "--inline", '{"orders": 3}'], "'orders' must be a list, got 3"),
+    (["group", "info", "--spec", "{spec}"],
+     "{spec} is not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    (["blocks", "atoms", "--orders", "3", "--subset", "[[1, 2]]"], "expected 1 residues, got 2: (1, 2)"),
+    (["blocks", "atoms", "--orders", "3", "--subset", '[["1"]]'], "residues must be integers: ('1',)"),
+    (["blocks", "atoms", "--orders", "3", "--subset", "[1]"], "subset entries must be residue lists: 1"),
+    (["blocks", "lengths", "--orders", "3", "--sequence", "[[1]"],
+     "--sequence must be a JSON list of residue lists, got '[[1]'"),
+    (["krull", "verify", "--inline", KRULL_PQ.replace('"q"', '"p"')], "prime names must be unique: ('p', 'p')"),
+    (["chains", "analyze", "--inline", lattice_doc(nodes=[NODES_AB[0], NODES_AB[0]])], "duplicate node id 'a'"),
+    (["chains", "analyze", "--inline", lattice_doc(nodes=[{"id": "a", "principal": 1}, NODES_AB[1]])],
+     "principal flag of 'a' must be boolean"),
+    (["chains", "analyze", "--inline", lattice_doc(covers=[{"upper": "a", "lower": "c", "label": "s"}])],
+     "cover references unknown node 'c'"),
+    (["chains", "analyze", "--inline", lattice_doc(covers=[{"upper": "a", "lower": "b", "label": "t"}])],
+     "cover label 't' is not a declared simple"),
+    (["chains", "analyze", "--inline", lattice_doc(top="c")], "declared top or bottom is not a node"),
+    (["chains", "analyze", "--inline", lattice_doc(
+        nodes=NODES_AB + [{"id": "c", "principal": True}],
+        covers=[{"upper": "a", "lower": "b", "label": "s"}, {"upper": "a", "lower": "c", "label": "s"}])],
+     "expected unique bottom 'b', minimal nodes are ['b', 'c']"),
+    (GENUS_STEP + ["U.0"], "no tower named 'U'"),
+    (GENUS_STEP + ["T.x"], "malformed simple label 'T.x'"),
+    (GENUS_STEP + ["T.2"], "'T.2' is out of range for tower 'T'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REFUSALS, ids=[message.split(":")[0][:40] for _, message in REFUSALS])
+def test_each_refusal_is_one_error_line(argv, message, tmp_path, capsys):
+    spec = tmp_path / "broken.json"
+    spec.write_text("{broken")
+    code, out = capture([arg.replace("{spec}", str(spec)) for arg in argv])
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == f"error: {message.replace('{spec}', str(spec))}\n"
+
+
 def test_blocks_atoms_of_a_long_cyclic_atom():
     code, out = capture(["blocks", "atoms", "--orders", "1200", "--subset", "[[1]]"])
     assert code == 0
@@ -542,3 +587,16 @@ def test_blocks_rho2_at_twice_davenport_stops_at_the_length_cap():
     code, out = capture(["blocks", "rho2", "--orders", "3,6"])
     assert time.perf_counter() - start < 2
     assert code == 0 and "rho2: 8" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["catenary", "--orders", "12"], "catenary: 12"),
+    (["delta", "--orders", "12"], "delta: {1, 2, 3, 4, 5, 6, 7, 8, 9, 10}"),
+    (["rho2", "--orders", "3,6"], "rho2: 8"),
+], ids=["catenary", "delta", "rho2"])
+def test_scans_over_all_of_g_stop_at_the_length_cap_of_g_minus_zero(argv, line):
+    # the atom 0 is a prime, so it sets no length cap: the pair pass settles these as over G minus 0
+    start = time.perf_counter()
+    code, out = capture(["blocks", *argv, "--subset", "all"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and line in out.splitlines()

@@ -61,6 +61,18 @@ def test_presented_monoid_rejects_bad_atoms():
     assert tested == [(2, 0), (1, 1), (0, 2)]
 
 
+def test_presented_monoid_refuses_repeated_alphabet_labels():
+    with pytest.raises(InvalidSpecificationError, match="^alphabet labels must be distinct$"):
+        PresentedMonoid(["a", "a"], lambda v: True, [(1, 0), (0, 1)])
+
+
+def test_the_empty_alphabet_has_one_member_and_no_atom():
+    P = PresentedMonoid([], lambda v: True, [])
+    assert list(P.elements(0)) == list(P.elements(5)) == [()] and list(P.elements(-1)) == []
+    assert P.length_set(()) == (0,) and P.factorizations(()) == (Factorization(()),)
+    assert (P.catenary(5), P.delta(5), P.rho2(5), P.half_factorial(5)) == (0, (), 0, (True, None))
+
+
 def test_length_sets_and_factorizations_match_the_naive_oracle():
     rng = random.Random("dividing-atom masks")
     monoids = []

@@ -222,9 +222,9 @@ def test_capped_scans_match_the_oracles_with_an_atom_of_norm_one(memoized_oracle
         G = make_group(rng.choice([[2], [3], [4], [2, 2], [5], [6]]))
         primes = [f"p{i}" for i in range(rng.randint(2, 5))]
         classes = {p: rng.choice(G.elements()) for p in primes}
-        classes["p0"] = G.zero  # p0 is an atom of norm 1: the cap is the bound itself
+        classes["p0"] = G.zero  # p0 is an atom of norm 1, a prime: it sets no cap
         H = make_krull(G, primes, classes)
-        assert H._length_cap(8) == 8
+        assert H._length_cap(8) < 8 or all(sum(a) == 1 for a in H.atoms)
         assert_capped_scans_match_the_oracles(H, range(2, 9))
 
 
@@ -283,22 +283,24 @@ class MemberTable(Exception):
 @pytest.mark.parametrize("orders", [[n] for n in range(3, 13)] + [[2, 2, 2], [2, 2, 2, 2]],
                          ids=lambda o: "x".join(map(str, o)))
 def test_a_pair_product_settles_catenary_and_delta_without_the_member_table(orders):
-    P = full_block_monoid(orders)
-    davenport = max(map(sum, P.atoms))
-    # C2^4 at bound 10, as in criterion 12, and every other group at 2 D(G):
-    # the cap is D(G), reached by U (-U) for an atom U of norm D(G)
-    bound = 10 if orders == [2, 2, 2, 2] else 2 * davenport
-    cap = bound // 2
+    G = make_group(orders)
+    # over G the atom 0 is a prime, which sets no cap: the cap is the same as over G minus 0
+    for P in (full_block_monoid(orders), BlockMonoid(G, G.elements()).presented()):
+        davenport = max(map(sum, P.atoms))
+        # C2^4 at bound 10, as in criterion 12, and every other group at 2 D(G):
+        # the cap is D(G), reached by U (-U) for an atom U of norm D(G)
+        bound = 10 if orders == [2, 2, 2, 2] else 2 * davenport
+        cap = bound // 2
+        P._members = refuse_the_member_table
+        assert P.catenary(bound) == cap
+        assert P.delta(bound) == tuple(range(1, cap - 1))
+        with pytest.raises(MemberTable):  # the patch is live
+            P.half_factorial(bound)
 
-    def refuse(bound):  # a generator, as the table is: it raises once read
-        raise MemberTable(bound)
-        yield
 
-    P._members = refuse
-    assert P.catenary(bound) == cap
-    assert P.delta(bound) == tuple(range(1, cap - 1))
-    with pytest.raises(MemberTable):  # the patch is live
-        P.half_factorial(bound)
+def refuse_the_member_table(bound):  # a generator, as the table is: it raises once read
+    raise MemberTable(bound)
+    yield
 
 
 @pytest.mark.parametrize("orders, catenary, delta", [([3, 3], 3, (1,)), ([2, 4], 4, (1, 2))])
@@ -312,17 +314,21 @@ def test_no_pair_settles_where_the_catenary_degree_is_below_the_cap(orders, cate
     assert P.delta(bound) == delta and rows
 
 
-def test_no_pair_is_read_below_twice_the_largest_atom_norm_nor_with_an_atom_of_norm_one(monkeypatch):
+def test_a_pair_is_read_from_twice_the_largest_atom_norm_even_with_a_prime(monkeypatch):
     # below 2 D(C7) = 14 the pass is not run, though a pair would settle C7 at 13: over the
     # zero_sum_scan jobs below that bound it cost more than it saved
     P = full_block_monoid([7])
     G = make_group([5])
-    with_zero = BlockMonoid(G, G.elements()).presented()  # 0 is an atom of norm 1: no pair can settle
+    with_zero = BlockMonoid(G, G.elements()).presented()  # 0 is an atom of norm 1, a prime
+    assert with_zero.delta(10) == (1, 2, 3)
     refuse_single_element_walks(monkeypatch)
     assert P.catenary(13) == 6 and P.delta(13) == (1, 2, 3, 4)
-    assert with_zero.catenary(10) == 5 and with_zero.delta(10) == (1, 2, 3)
     with pytest.raises(SingleElementWalk):  # the patch is live
         P.rho2(13)
+    monkeypatch.undo()
+    # the prime sets no cap: 1^5 4^5 has L = {2, 5} and settles catenary at the cap 10 // 2
+    with_zero._members = refuse_the_member_table
+    assert with_zero.catenary(10) == 5
 
 
 def test_a_pair_product_with_the_single_length_two_settles_nothing():
@@ -336,3 +342,27 @@ def test_the_pair_pass_reads_no_pair_without_a_finite_cap(monkeypatch):
     P._length_cap = lambda size_bound: float("inf")  # 1 << cap would raise TypeError
     refuse_single_element_walks(monkeypatch)
     assert P.catenary(10) == 5 and P.delta(10) == (1, 2, 3)
+
+
+# -- an atom of norm 1 is a prime: it adds one to every length of a member holding it
+
+
+def test_rho2_of_a_pair_holding_a_prime_is_two():
+    # primes of classes 0 and 1 over C3: the atoms are p, q^3, and every pair product has L = {2},
+    # though the pair's own cap (|a| + |b|) // 3 is 0 or 1 below 6
+    H = make_krull(make_group([3]), ["p", "q"], {"p": (0,), "q": (1,)})
+    assert [H.rho2(bound) for bound in range(2, 8)] == [2] * 6
+
+
+@pytest.mark.parametrize("orders", CAPPED_GROUPS + [[2, 2]], ids=lambda o: "x".join(map(str, o)))
+def test_the_atom_zero_changes_no_catenary_degree_nor_gap(orders):
+    # B(G) = F({0}) x B(G minus 0): 0 adds one to every length, so catenary and delta agree over
+    # the two subsets, and rho2 over G adds the pair 0·0 of L = {2}
+    G = make_group(orders)
+    whole, nonzero = BlockMonoid(G, G.elements()).presented(), full_block_monoid(orders)
+    davenport = max(map(sum, nonzero.atoms))
+    top = 12 if orders in ([8], [2, 4], [3, 3]) else 2 * davenport + 1
+    for bound in range(2, top + 1):
+        assert whole.catenary(bound) == nonzero.catenary(bound), bound
+        assert whole.delta(bound) == nonzero.delta(bound), bound
+        assert whole.rho2(bound) == max(nonzero.rho2(bound), 2), bound

@@ -286,6 +286,7 @@ def test_verify_transfer_names_differing_length_sets():
     blocks._members = lambda bound: (
         (w, mask, lengths | (1 << 3 if any(w) else 0), below) for w, mask, lengths, below in members(bound)
     )
+    H.block_monoid().presented = lambda: blocks  # presented() builds a new presentation on each call
     rep = H.verify_transfer(4)
     assert not rep.ok
     assert rep.failure == "length sets differ at (1, 1): (1,) vs (1, 3)"
@@ -297,6 +298,7 @@ def test_verify_transfer_fails_on_an_image_missing_from_the_block_table():
     members = blocks._members
     # a block member table without the row of 1·2: its image has no lengths
     blocks._members = lambda bound: (row for row in members(bound) if row[0] != (1, 1))
+    H.block_monoid().presented = lambda: blocks
     rep = H.verify_transfer(4)
     assert not rep.ok
     assert rep.failure == "length sets differ at (1, 1): (1,) vs ()"
