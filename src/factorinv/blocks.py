@@ -32,21 +32,26 @@ class Sequence:
     @classmethod
     def from_counts(cls, group: FinAbGroup, counts) -> "Sequence":
         """The sequence of (element, exponent) pairs, or of a mapping's items; repeated elements add up."""
-        merged: dict[Element, int] = {}
+        pairs = []
         for g, m in counts.items() if isinstance(counts, Mapping) else counts:
             if not _is_int(m) or m < 0:
                 raise InvalidElementError(f"exponent of {g!r} must be a nonnegative integer")
-            if m:
-                merged[group.check(g)] = merged.get(g, 0) + m
-        return cls(group, tuple(sorted(merged.items())))
+            if not isinstance(g, (list, tuple)):
+                raise InvalidElementError(f"an element is a list or tuple of residues, got {g!r}")
+            pairs.append((group.check(tuple(g)), m))
+        return cls._merged(group, pairs)
 
     @classmethod
     def from_elements(cls, group: FinAbGroup, elements) -> "Sequence":
-        counts: dict[Element, int] = {}
-        for g in elements:
-            g = group.check(tuple(g))
-            counts[g] = counts.get(g, 0) + 1
-        return cls(group, tuple(sorted(counts.items())))
+        return cls.from_counts(group, ((g, 1) for g in elements))
+
+    @classmethod
+    def _merged(cls, group: FinAbGroup, pairs) -> "Sequence":
+        """The sequence of checked (element, exponent) pairs; a repeated element's exponents add up."""
+        merged: dict[Element, int] = {}
+        for g, m in pairs:
+            merged[g] = merged.get(g, 0) + m
+        return cls(group, tuple(sorted((g, m) for g, m in merged.items() if m)))
 
     @classmethod
     def empty(cls, group: FinAbGroup) -> "Sequence":
@@ -74,10 +79,7 @@ class Sequence:
     def __mul__(self, other: "Sequence") -> "Sequence":
         if self.group != other.group:
             raise InvalidElementError("sequences live over different groups")
-        counts = dict(self.counts)
-        for g, m in other.counts:
-            counts[g] = counts.get(g, 0) + m
-        return Sequence(self.group, tuple(sorted(counts.items())))
+        return Sequence._merged(self.group, self.counts + other.counts)
 
     def divides(self, other: "Sequence") -> bool:
         if self.group != other.group:

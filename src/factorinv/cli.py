@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -290,8 +291,7 @@ COMMANDS = (
             lambda m, _: ({"module": m.to_doc(), "submodule": towers_mod.full_cycle_submodule(m).to_doc(),
                            "#cycle_length": m.cycle_length}, 0),
             ("cycle_length",),
-            lambda f: [("arc", arc["bottom"], f"length {arc['length']}") for arc in f["submodule"]["arcs"]]
-            or ["zero module"]),
+            lambda f: [("arc", arc["bottom"], f"length {arc['length']}") for arc in f["submodule"]["arcs"]]),
     Command("towers", "genus-step", ("doc", "genus", "simple"), _doc_source(TowerSpec.from_doc),
             _towers_genus_step, ("simple",), lambda f: [("udim", f["udim"]), *f["ranks"].items()]),
     Command("chains", "analyze", ("doc",), _doc_source(chains_mod.load_lattice), _chains, _LATTICE,
@@ -334,14 +334,14 @@ def _render(command: Command, fields: dict, fmt: str, out) -> None:
     out.write("".join(f"{line}\n" for line in lines + body))
 
 
-def build_parser(commands=COMMANDS) -> _Parser:
-    """The argparse tree of the given commands, all of them by default.
-    A tree of one command parses, rejects and helps on that command's argv
-    exactly as the full tree does."""
+@functools.cache
+def build_parser(threads_default: str = "1") -> _Parser:
+    """The argparse tree of every command, threads_default (the FACTORINV_THREADS
+    value) being the --threads default; built once per value and never changed after."""
     parser = _Parser(prog="factorinv", description=__doc__)
     topics = parser.add_subparsers(dest="topic", required=True)
     actions = {}
-    for command in commands:
+    for command in COMMANDS:
         if command.topic not in actions:
             topic = topics.add_parser(command.topic)
             actions[command.topic] = topic.add_subparsers(dest="action", required=True)
@@ -354,19 +354,16 @@ def build_parser(commands=COMMANDS) -> _Parser:
                            help=f"1-norm bound for the scan ({command.bound[0]})")
         p.add_argument("--format", choices=("text", "json"), default="text")
         # parse_args converts a string default, so a bad value is a usage error
-        p.add_argument("--threads", type=int, default=os.environ.get(THREADS_ENV, "1"), help=_THREADS_HELP)
+        p.add_argument("--threads", type=int, default=threads_default, help=_THREADS_HELP)
         p.set_defaults(command=command)
     return parser
 
 
 def run(argv=None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the named command's parser alone; the full tree when argv names no command
-    parser = build_parser([c for c in COMMANDS if [c.topic, c.action] == argv[:2]] or COMMANDS)
     try:
         with contextlib.redirect_stdout(out):  # --help writes to out and exits 0
-            args = parser.parse_args(argv)
+            args = build_parser(os.environ.get(THREADS_ENV, "1")).parse_args(argv)
         if args.threads < 1:
             raise CliUsageError("--threads must be >= 1")
         fields, code = _execute(args.command, args)

@@ -17,6 +17,12 @@ def test_make_group_trivial():
     assert G.cardinality == 1
     assert G.elements() == ((),)
     assert G.zero == ()
+    assert G.rank == 0 and str(G) == "C1"
+
+
+def test_rank_and_name_of_a_product():
+    G = make_group([2, 6])
+    assert G.rank == 2 and str(G) == "C2xC6"
 
 
 def test_make_group_klein():

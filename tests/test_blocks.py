@@ -73,6 +73,49 @@ def test_from_counts_adds_the_exponents_of_a_repeated_element():
     assert Sequence.from_counts(G, {(2,): 2, (1,): 0}) == Sequence(G, (((2,), 2),))
 
 
+def test_a_list_element_is_taken_as_its_tuple():
+    G = make_group([3])
+    assert Sequence.from_counts(G, [([1], 1), ((1,), 2)]) == Sequence(G, (((1,), 3),))
+    assert Sequence.from_elements(G, [[2], (2,)]) == Sequence(G, (((2,), 2),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda G: Sequence.from_counts(G, [(1, 1)]),
+    lambda G: Sequence.from_counts(G, {None: 2}),
+    lambda G: Sequence.from_elements(G, [1]),
+    lambda G: BlockMonoid(G).sequence([(1,), 2]),
+], ids=["counts-int", "counts-none", "elements-int", "block-monoid-int"])
+def test_an_element_that_is_no_list_or_tuple_is_refused(build):
+    with pytest.raises(InvalidElementError, match="^an element is a list or tuple of residues, got "):
+        build(make_group([3]))
+
+
+def test_an_unnormalized_element_is_refused_by_both_constructors():
+    G = make_group([3])
+    with pytest.raises(InvalidElementError, match=r"^\(4,\) is not a normalized element of C3$"):
+        Sequence.from_counts(G, [([4], 1)])
+    with pytest.raises(InvalidElementError, match=r"^\(1, 0\) is not a normalized element of C3$"):
+        Sequence.from_elements(G, [[1, 0]])
+
+
+def test_product_adds_exponents_and_refuses_another_group():
+    G = make_group([3])
+    a = Sequence.from_counts(G, {(1,): 2, (2,): 1})
+    assert a * Sequence.from_elements(G, [(2,), (0,)]) == Sequence(G, (((0,), 1), ((1,), 2), ((2,), 2)))
+    assert a * Sequence.empty(G) == a
+    with pytest.raises(InvalidElementError, match="^sequences live over different groups$"):
+        a * Sequence.empty(make_group([2]))
+
+
+def test_divides_and_str_of_the_empty_sequence():
+    G, H = make_group([3]), make_group([2])
+    one = Sequence.from_elements(G, [(1,)])
+    assert str(Sequence.empty(G)) == "empty"
+    assert Sequence.empty(G).divides(one) and one.divides(one * one)
+    assert not (one * one).divides(one)
+    assert not Sequence.empty(H).divides(one)
+
+
 def test_sequence_of_and_zero_sum_up_to_refuse_bad_input():
     B = BlockMonoid(make_group([3]), [(1,), (2,)])
     with pytest.raises(InvalidElementError, match=r"^vector arity 3 != \|G0\| = 2$"):

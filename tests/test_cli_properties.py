@@ -1,12 +1,13 @@
 """Property tests of the CLI: whatever argv is drawn from the command table,
 ``run()`` returns 0, 1 or 2 without raising, and exit code 1 comes with
-exactly one ``error:`` line on stderr; and the parser ``run()`` builds for
-an argv parses, rejects and helps on it exactly as the full tree does."""
+exactly one ``error:`` line on stderr; and the parser tree ``run()`` keeps
+and reuses parses, rejects and helps exactly as a freshly built one."""
 
 import argparse
 import contextlib
 import io
 import json
+import os
 from unittest import mock
 
 import pytest
@@ -169,19 +170,6 @@ def test_run_never_raises_and_errors_are_one_line(argv):
         assert len(lines) == 1 and lines[0].startswith("error:"), err.getvalue()
 
 
-class Built(Exception):
-    """Carries the parser that ``run()`` built, before it parses anything."""
-
-
-def parser_run_builds(argv):
-    def build(commands=COMMANDS):
-        raise Built(build_parser(commands))
-
-    with mock.patch.object(cli, "build_parser", build), pytest.raises(Built) as built:
-        run(argv)
-    return built.value.args[0]
-
-
 def outcome(parser, argv):
     """The namespace, the usage error, or the help text and exit code."""
     out = io.StringIO()
@@ -194,11 +182,33 @@ def outcome(parser, argv):
         return "help", exc.code, out.getvalue()
 
 
+class Parsed(Exception):
+    """Carries the parser that ``run()`` parses with."""
+
+
+def parser_run_uses(argv):
+    """The tree ``run(argv)`` parses with, caught before it parses."""
+    def grab(parser, args=None):
+        raise Parsed(parser)
+
+    with mock.patch.object(cli._Parser, "parse_args", grab), pytest.raises(Parsed) as parsed:
+        run(argv)
+    return parsed.value.args[0]
+
+
 @settings(max_examples=600, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(argvs())
-def test_the_parser_run_builds_acts_as_the_full_tree(argv):
-    assert outcome(parser_run_builds(argv), argv) == outcome(build_parser(), argv)
+@given(argvs(), st.sampled_from([None, "1", "2", "0", "abc"]))
+def test_the_shared_tree_acts_as_a_fresh_one(argv, env):
+    """The one tree run() keeps per FACTORINV_THREADS value parses, rejects
+    and helps as a tree built for this call's value would."""
+    with mock.patch.dict(os.environ):
+        os.environ.pop(cli.THREADS_ENV, None)
+        if env is not None:
+            os.environ[cli.THREADS_ENV] = env
+        shared = parser_run_uses(argv)
+        fresh = build_parser.__wrapped__("1" if env is None else env)
+    assert outcome(shared, argv) == outcome(fresh, argv)
 
 
 def subparser(parser, name):

@@ -142,6 +142,12 @@ def test_arc_module_class_vector():
     assert m.class_vector() == Counter({0: 2, 1: 1})
 
 
+def test_arc_module_composition_length_sums_the_arc_lengths():
+    assert ArcModule(3, (Arc(2, 3),)).composition_length == 3
+    assert ArcModule(4, (Arc(1, 2), Arc(3, 5))).composition_length == 7
+    assert ArcModule(2, ()).composition_length == 0
+
+
 def test_arc_module_doc_roundtrip():
     doc = {"cycle_length": 4, "arcs": [{"bottom": 1, "length": 2}, {"bottom": 3, "length": 2}]}
     m = ArcModule.from_doc(doc)
