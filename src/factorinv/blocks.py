@@ -190,8 +190,8 @@ class BlockMonoid:
         """
         if _bound(maxlen) < 0:
             raise InvalidSpecificationError("maxlen must be >= 0")
-        members = _zero_sum_vectors(*_tables(self.group, self.subset), maxlen)
-        return [self._sequence(v) for v in sorted(members, key=lambda v: (sum(v), [-m for m in v]))]
+        walk = _zero_sum_vectors(*_tables(self.group, self.subset), maxlen, [[0]] * len(self.subset))  # no atoms
+        return [self._sequence(v) for v, _, _ in sorted(walk, key=lambda row: (sum(row[0]), [-m for m in row[0]]))]
 
 
 def minimal_zero_sum_sequences(group: FinAbGroup, subset=None) -> tuple[Sequence, ...]:

@@ -3,13 +3,15 @@
 A monoid is given by a finite alphabet of prime labels, a membership
 predicate on exponent vectors and its finite atom set; a factorization is a
 multiset of atoms.  One table per monoid, per letter and value, ANDs to the
-atoms dividing a vector.  Bounded scans (delta, half-factoriality, the
-catenary degree from the Betti elements, the transfer check) read one member
-table, filled in (norm, lex) order: each member's dividing atoms and length
-set as int bitmasks, from the rows of its quotients.  One element's length
-set is a memoized walk and its catenary degree the Prim bottleneck of its
-factorizations; rho2, the first pass of catenary and delta, and the Krull
-fiber catenary walk the pairs of atoms, the first three in one loop.
+atoms dividing a vector, for the quotient walk and the atom check; the member
+walk ANDs it slot by slot and hands each member that mask and its code.
+Bounded scans (delta, half-factoriality, the Betti-element catenary degree,
+the transfer check) read one member table, filled in (norm, lex) order from
+that walk: each member's dividing atoms and length set as int bitmasks, from
+the rows of its quotients.  One element's length set is a memoized walk and
+its catenary degree the Prim bottleneck of its factorizations; rho2, the
+first pass of catenary and delta, and the Krull fiber catenary walk the pairs
+of atoms, the first three in one loop.
 Each public call builds its own memo, so no query changes a monoid.
 
 Public methods validate their input once; internal scans work on trusted
@@ -19,8 +21,8 @@ int count vectors with explicit stacks, so no element meets a recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from operator import add, mul, sub
+from itertools import accumulate, chain
+from operator import add, and_, mul, sub
 from typing import Callable, Iterator, Optional
 
 from .abelian import FinAbGroup, _is_int, _tables, _translate, _zero_sum_test
@@ -137,8 +139,8 @@ class PresentedMonoid:
                 raise InvalidSpecificationError(f"duplicate atom {a!r}")
             seen.add(a)
         self._divides = []  # per letter, value x up to its largest entry: the atoms with entry <= x
-        for column in zip(*self.atoms):
-            exact = [0] * (1 + max(column))
+        for column in zip(*self.atoms) if self.atoms else [()] * len(self.alphabet):
+            exact = [0] * (1 + max(column, default=0))
             for j, x in enumerate(column):
                 exact[x] |= 1 << j
             below = 0
@@ -151,7 +153,7 @@ class PresentedMonoid:
 
     def _dividing(self, v: Vector) -> int:
         """Bitmask of the atoms dividing the trusted vector ``v``."""
-        mask = -1 if self._divides else 0  # no table: no atoms
+        mask = -1 if self._divides else 0  # no letter: no atoms
         for row, x in zip(self._divides, v):
             mask &= row[x] if x < len(row) else row[-1]
         return mask
@@ -174,7 +176,7 @@ class PresentedMonoid:
     def elements(self, size_bound: int) -> Iterator[Vector]:
         """All members of 1-norm <= size_bound, by (norm, lex) order."""
         test = self._scan_test
-        for v in _zero_sum_vectors(*self._grading, _bound(size_bound)):
+        for v, _, _ in _zero_sum_vectors(*self._grading, _bound(size_bound), self._divides):
             if test is None or test(v):
                 yield v
 
@@ -199,15 +201,9 @@ class PresentedMonoid:
         mapping: multiplicities must be positive and the weighted atom sum
         must equal ``v``."""
         v = self.check_member(v)
-        counts = tuple(sorted(dict(multiplicities).items()))
-        for idx, mult in counts:
-            if not _is_int(idx) or not 0 <= idx < len(self.atoms):
-                raise InvalidSpecificationError(f"no atom with index {idx!r}")
-            if not _is_int(mult) or mult < 1:
-                raise InvalidSpecificationError(f"multiplicity of atom {idx} must be >= 1")
-        z = Factorization(counts)
+        z = Factorization(tuple(sorted(dict(multiplicities).items())))
         if self.weighted_sum(z) != v:
-            raise NotAMemberError(f"{counts} does not factor {v}")
+            raise NotAMemberError(f"{z.counts} does not factor {v}")
         return z
 
     def _factorizations_from(self, v: Vector, start: int, limit: Optional[int] = None) -> tuple:
@@ -277,10 +273,17 @@ class PresentedMonoid:
     # -- distances and catenary degrees ----------------------------------
 
     def weighted_sum(self, z: Factorization) -> Vector:
+        """The element that ``z`` names: its atom indices must ascend and its multiplicities be counts >= 1."""
         total = [0] * len(self.alphabet)
         for idx, mult in z.counts:
+            if not _is_int(idx) or not 0 <= idx < len(self.atoms):
+                raise InvalidSpecificationError(f"no atom with index {idx!r}")
+            if not _is_int(mult) or mult < 1:
+                raise InvalidSpecificationError(f"multiplicity of atom {idx} must be >= 1")
             for i, x in enumerate(self.atoms[idx]):
                 total[i] += mult * x
+        if [idx for idx, _ in z.counts] != sorted({idx for idx, _ in z.counts}):
+            raise InvalidSpecificationError(f"atom indices must ascend, without repeats: {z.counts}")
         return tuple(total)
 
     def distance(self, z1: Factorization, z2: Factorization) -> int:
@@ -299,24 +302,26 @@ class PresentedMonoid:
         return _bottleneck(self._factorizations_from(v, 0, CATENARY_FACTORIZATION_LIMIT))
 
     def _members(self, size_bound: int) -> Iterator[tuple[Vector, int, int, dict]]:
-        """The member table: (v, mask, lengths, below) per member v of 1-norm
-        <= size_bound, by (norm, lex) order: the bitmasks of the atoms a that
-        divide v in the monoid and of its lengths, and per such a, by its bit,
-        the row of v - a, an earlier member keyed by its value in base size_bound + 1."""
-        base = _bound(size_bound) + 1
+        """The member table: (v, mask, lengths, below) per member v of 1-norm <= size_bound, by (norm, lex)
+        order: the bitmasks of the atoms a that divide v in the monoid and of its lengths, and per such a, by
+        its bit, the row of v - a, an earlier member keyed by its code in base size_bound + 1.  The walk hands
+        each member its code and the atoms dividing it as a vector."""
+        base, test = _bound(size_bound) + 1, self._scan_test
         weights = [base**i for i in range(len(self.alphabet))]
         code_of = {1 << j: sum(map(mul, atom, weights)) for j, atom in enumerate(self.atoms)}
         table: dict[int, tuple[int, int]] = {}  # member code -> its (mask, lengths) row
-        for v in self.elements(size_bound):
-            code = sum(map(mul, v, weights))
-            below, lengths, rest = {}, 0, self._dividing(v)
+        for v, code, rest in _zero_sum_vectors(*self._grading, size_bound, self._divides):
+            if test is not None and not test(v):
+                continue
+            below, lengths = {}, 0
             while rest:
                 bit = rest & -rest
                 rest ^= bit
                 if row := table.get(code - code_of[bit]):  # else v - a is no member: a does not divide v
                     below[bit] = row
                     lengths |= row[1]
-            row = table[code] = sum(below), lengths << 1 or 1  # the mask is below's bits; L(0) = {0}
+            # the mask is below's bits; L(0) = {0}; code | 0 drops the spare digit an int sum allocates, 8 bytes a row
+            row = table[code | 0] = sum(below), lengths << 1 or 1
             yield (v, *row, below)
 
     def catenary(self, size_bound: int) -> int:
@@ -463,24 +468,28 @@ def _evaluate(root, cache, children, combine, empty):
     return cache[root]
 
 
-def _zero_sum_vectors(neg, rows, moves, size_bound: int) -> Iterator[Vector]:
-    """Count vectors over letters with addition rows ``rows`` and moves
+def _zero_sum_vectors(neg, rows, moves, size_bound: int, divides) -> Iterator[tuple[Vector, int, int]]:
+    """Count vectors v over letters with addition rows ``rows`` and moves
     ``moves`` (from ``abelian._tables``, negation map ``neg``) whose class
-    sum vanishes, of 1-norm <= size_bound, by (norm, lex) order.
+    sum vanishes, of 1-norm <= size_bound, by (norm, lex) order, each with its
+    code, sum v_i (size_bound + 1)^i, and the AND of ``divides[i][v_i]`` (a
+    count past a row's end reads its last entry): the atoms dividing v.
 
     Each norm layer is an explicit-stack walk that assigns the slots left to
-    right, each in ascending order.  ``reach[s][r]`` is the bitmask of the
-    class sums of exactly r letters from slots >= s, so a slot value is
-    taken only when the later slots can still close the class sum, and
-    every leaf is a member.  The table grows one norm layer at a time by
+    right, each in ascending order, carrying the code and mask so far; with
+    ``reach[s][r]`` the bitmask of the class sums of exactly r letters from
+    slots >= s, a slot value is taken only when the later slots can still
+    close the class sum, and every leaf is a member.  Each layer extends it by
     reach[s][r] = reach[s+1][r] | (reach[s][r-1] moved by slot s's class).
     """
     width = len(rows)
     if not width:
         if size_bound >= 0:
-            yield ()
+            yield (), 0, 0
         return
-    last = width - 1
+    last, closing, weights = width - 1, divides[-1], [(size_bound + 1) ** i for i in range(width)]
+    # per slot s, the AND of the zero entries of slots s, ..., last - 1
+    tail = list(accumulate((row[0] for row in reversed(divides[:last])), and_, initial=-1))[::-1]
     reach = [[1] for _ in rows]
     v = [0] * width
     zeros = [0] * width
@@ -493,21 +502,22 @@ def _zero_sum_vectors(neg, rows, moves, size_bound: int) -> Iterator[Vector]:
         if not reach[0][n] & 1:
             continue
         # (slot, units left for it and later slots, class sum before it,
-        # units of the slot before it)
-        stack = [(0, n, 0, 0)]
+        # units of the slot before it, code and mask of the slots before it)
+        stack = [(0, n, 0, 0, 0, -1)]
         while stack:
-            s, r, h, k = stack.pop()
+            s, r, h, k, code, mask = stack.pop()
             if s:
                 v[s - 1] = k
             if not r or s == last:  # the later slots are empty, or slot s takes the rest
                 v[s:] = zeros[s:]
                 v[last] = r
-                yield tuple(v)
+                yield tuple(v), code + r * weights[last], mask & tail[s] & closing[r if r < len(closing) else -1]
                 continue
-            row, later = rows[s], reach[s + 1]
+            row, later, w, entries, top = rows[s], reach[s + 1], weights[s], divides[s], len(divides[s]) - 1
             children = []
             for k in range(r + 1):
                 if later[r - k] >> neg[h] & 1:
-                    children.append((s + 1, r - k, h, k))
+                    children.append((s + 1, r - k, h, k, code, mask & entries[k if k < top else top]))
                 h = row[h]
+                code += w
             stack.extend(reversed(children))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import sub
+from operator import itemgetter, sub
 from typing import Optional
 
 from .abelian import FinAbGroup, _zero_sum_test
@@ -173,6 +173,10 @@ class KrullMonoid(PresentedMonoid):
         images = {w: lengths for w, _, lengths, _ in self._blocks.presented()._members(size_bound)}
         elements = splits = 0
         split_cache: dict[Vector, list] = {}
+        order = [i for primes in self._slot_primes for i in primes]  # a member's exponents slot by slot
+        by_slot = itemgetter(*order) if len(order) > 1 else tuple  # itemgetter of one index gives a bare entry
+        ends = list(itertools.accumulate(map(len, self._slot_primes)))
+        slices = list(map(slice, [0, *ends], ends))  # each slot's part of them
 
         @functools.cache  # for this call: count -> failure, over the rows of ``have``
         def failing_rows(have: Vector) -> dict[int, str]:
@@ -194,7 +198,8 @@ class KrullMonoid(PresentedMonoid):
                 return TransferReport(False, elements, splits, failure)
             if image not in split_cache:
                 split_cache[image] = self._two_splits(self.image_classes, image)
-            rows = [failing_rows(tuple(v[i] for i in primes)) for primes in self._slot_primes]
+            exponents = by_slot(v)
+            rows = [failing_rows(exponents[part]) for part in slices]
             if not any(rows):
                 splits += len(split_cache[image])
                 continue

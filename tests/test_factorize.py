@@ -249,6 +249,30 @@ def test_delta_monotone_in_bound():
         previous = current
 
 
+@pytest.mark.parametrize("counts, message", [
+    (((-1, 1),), "^no atom with index -1$"),  # would read the last atom, (3, 0)
+    (((9, 1),), "^no atom with index 9$"),
+    (((True, 1),), "^no atom with index True$"),
+    (((2, 0),), "^multiplicity of atom 2 must be >= 1$"),
+    (((2, True),), "^multiplicity of atom 2 must be >= 1$"),
+    (((2, 1.0),), "^multiplicity of atom 2 must be >= 1$"),
+    (((2, 1), (2, 1)), r"^atom indices must ascend, without repeats: \(\(2, 1\), \(2, 1\)\)$"),
+    (((2, 1), (0, 1)), r"^atom indices must ascend, without repeats: \(\(2, 1\), \(0, 1\)\)$"),
+])
+def test_distance_and_weighted_sum_check_hand_built_factorizations(counts, message):
+    B, P = block_presented([3])  # atoms (0,3), (1,1), (3,0)
+    z = Factorization(counts)
+    with pytest.raises(InvalidSpecificationError, match=message):
+        P.weighted_sum(z)
+    for pair in ((z, Factorization(((2, 1),))), (Factorization(((2, 1),)), z)):
+        with pytest.raises(InvalidSpecificationError, match=message):
+            P.distance(*pair)
+    # factorization_of refuses the same indices and multiplicities, with the same messages
+    if len(counts) == 1:
+        with pytest.raises(InvalidSpecificationError, match=message):
+            P.factorization_of((3, 0), dict(counts))
+
+
 def test_permutable_distance_examples():
     B, P = block_presented([3])
     v = B.vector_of(B.sequence([(1,)] * 3 + [(2,)] * 3))

@@ -13,7 +13,7 @@ from factorinv import blocks
 from factorinv.abelian import make_group
 from factorinv.blocks import BlockMonoid, subset_nonzero
 from factorinv.errors import InvalidSpecificationError
-from factorinv.factorize import PresentedMonoid
+from factorinv.factorize import PresentedMonoid, _lengths, _zero_sum_vectors
 from factorinv.krull import make_krull
 
 import oracles
@@ -56,6 +56,67 @@ def test_graded_elements_and_catenary_on_the_krull_batch():
         assert_scans_match_the_oracles(H, H.classes)
         blocks = H.block_monoid().presented()
         assert blocks.catenary(BOUND) == prim_catenary(blocks, BOUND), H.classes
+
+
+# -- the walk carries each member's code and dividing-atom mask into the member table
+
+WALKED_GROUPS = [[3], [4], [5], [6], [7], [8], [2, 4], [3, 3], [2, 2, 2]]
+
+
+def assert_walk_and_table_match_the_oracles(P, bound, label):
+    """Every vector the walk yields carries its code in base bound + 1 and the
+    mask of the atoms dividing it, and the member table's rows come in the
+    composition scan's order, with the oracle's length sets."""
+    for v, code, mask in _zero_sum_vectors(*P._grading, bound, P._divides):
+        assert mask == P._dividing(v), (label, bound, v)
+        assert code == sum(x * (bound + 1) ** i for i, x in enumerate(v)), (label, bound, v)
+    rows = list(P._members(bound))
+    assert [row[0] for row in rows] == composition_scan(P, bound), (label, bound)
+    assert {v: frozenset(_lengths(lengths)) for v, _, lengths, _ in rows} == oracles.length_table(P, bound), label
+
+
+@pytest.mark.parametrize("orders", WALKED_GROUPS, ids=lambda o: "x".join(map(str, o)))
+def test_the_walk_hands_the_member_table_its_codes_and_masks(orders):
+    rng = random.Random(f"carried walk:{orders}")
+    G = make_group(orders)
+    elements = G.elements()
+    for subset in (elements, elements[1:], rng.sample(elements, rng.randint(1, len(elements)))):
+        P = BlockMonoid(G, subset).presented()
+        for bound in (0, 1, BOUND):
+            assert_walk_and_table_match_the_oracles(P, bound, subset)
+
+
+def test_the_walk_hands_ungraded_monoids_and_the_krull_batch_their_codes_and_masks():
+    rng = random.Random("carried walk, ungraded")
+    for orders in ([3], [4], [5], [6], [2, 2], [2, 3]):
+        G = make_group(orders)
+        graded = BlockMonoid(G, rng.sample(G.elements(), rng.randint(2, len(G.elements())))).presented()
+        plain = PresentedMonoid(graded.alphabet, graded.membership, graded.atoms)
+        for bound in (0, 1, BOUND):
+            assert_walk_and_table_match_the_oracles(plain, bound, graded.atoms)
+
+    def member(v):  # i (0,2) + j (1,1) + k (4,0), not closed under quotients
+        x, y = v
+        return any((x - j) % 4 == 0 and y >= j and (y - j) % 2 == 0 for j in range(x + 1))
+
+    assert_walk_and_table_match_the_oracles(PresentedMonoid(["a", "b"], member, [(0, 2), (1, 1), (4, 0)]), 10, "")
+    # the empty alphabet: one member, the empty vector, of code 0 and no dividing atom
+    empty = PresentedMonoid([], lambda v: True, [])
+    assert list(_zero_sum_vectors(*empty._grading, 5, empty._divides)) == [((), 0, 0)]
+    assert_walk_and_table_match_the_oracles(empty, 5, "empty")
+    # letters but no atom: every vector walked divides by no atom, and only 0 is a member
+    assert_walk_and_table_match_the_oracles(PresentedMonoid(["a", "b"], lambda v: not any(v), []), 4, "no atom")
+    for H in krull_batch():
+        assert_walk_and_table_match_the_oracles(H, BOUND, H.classes)
+
+
+def test_the_walk_reads_a_count_past_the_largest_atom_entry_as_that_entry():
+    # 1^3 2^3, of norm 6, is the first member over C3 minus 0 with two lengths: the walk
+    # builds nothing whose size grows with the bound, so a huge bound costs nothing more
+    P = full_block_monoid([3])
+    started = time.perf_counter()
+    assert P.half_factorial(10**9) == (False, ((3, 3), (2, 3)))
+    assert time.perf_counter() - started < 1
 
 
 def assert_scans_match_the_oracles(P, label):
