@@ -145,13 +145,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _zero_sum_test(group: FinAbGroup, classes):
-    """Whether a count vector over ``classes`` has class sum zero.
+class _ZeroSumTest(tuple):
+    """Whether a count vector has class sum zero, from the (order, letter residues) column of each cyclic factor:
+    a tuple, so its monoid makes no reference cycle, and the tests of one grading are equal."""
 
-    The test closes over tuples only, so a monoid that holds it makes no
-    reference cycle."""
-    columns = tuple(zip(group.orders, zip(*classes)))
-    return lambda v: not any(sum(map(mul, column, v)) % n for n, column in columns)
+    def __call__(self, v) -> bool:
+        return not any(sum(map(mul, column, v)) % n for n, column in self)
+
+
+def _zero_sum_test(group: FinAbGroup, classes) -> _ZeroSumTest:
+    """Whether a count vector over ``classes`` has class sum zero."""
+    return _ZeroSumTest(zip(group.orders, zip(*classes)))
 
 
 def _tables(group: FinAbGroup, letters):

@@ -11,7 +11,7 @@ that walk: each member's dividing atoms and length set as int bitmasks, from
 the rows of its quotients.  One element's length set is a memoized walk and
 its catenary degree the Prim bottleneck of its factorizations; rho2, the
 first pass of catenary and delta, and the Krull fiber catenary walk the pairs
-of atoms, the first three in one loop.
+of atoms, the first three in one loop, which sifts them for catenary and delta.
 Each public call builds its own memo, so no query changes a monoid.
 
 Public methods validate their input once; internal scans work on trusted
@@ -21,8 +21,9 @@ int count vectors with explicit stacks, so no element meets a recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import add, and_, mul, sub
+from functools import cache, reduce
+from itertools import accumulate, chain, compress
+from operator import add, and_, mul, sub, xor
 from typing import Callable, Iterator, Optional
 
 from .abelian import FinAbGroup, _is_int, _tables, _translate, _zero_sum_test
@@ -119,12 +120,12 @@ class PresentedMonoid:
             if len(classes) != len(self.alphabet):
                 raise InvalidSpecificationError("a grading needs one class per letter")
             self._grading, self._scan_test = _tables(group, classes), None
-        self._graded = grading and _zero_sum_test(*grading)  # the class sum test of a grading
         self.atoms = tuple(tuple(a) for a in atoms)
-        self._validate_atoms()
+        self._validate_atoms(grading and _zero_sum_test(*grading))
         self._least_norm = min((n for n in map(sum, self.atoms) if n > 1), default=1)  # of the non-primes
+        self._sifts = grading is not None and self._least_norm == 2  # :meth:`_cap_test` applies
 
-    def _validate_atoms(self):
+    def _validate_atoms(self, graded):
         seen = set()
         for a in self.atoms:
             if not self._is_vector(a):
@@ -133,7 +134,7 @@ class PresentedMonoid:
                 raise InvalidSpecificationError("atoms must be nonzero")
             if not self.membership(a):
                 raise InvalidSpecificationError(f"atom {a!r} fails membership")
-            if self._graded and not self._graded(a):
+            if graded and graded != self.membership and not graded(a):  # equal for block and Krull monoids
                 raise InvalidSpecificationError(f"atom {a!r} has a nonzero class sum in the grading")
             if a in seen:
                 raise InvalidSpecificationError(f"duplicate atom {a!r}")
@@ -201,7 +202,8 @@ class PresentedMonoid:
         mapping: multiplicities must be positive and the weighted atom sum
         must equal ``v``."""
         v = self.check_member(v)
-        z = Factorization(tuple(sorted(dict(multiplicities).items())))
+        counts = dict(multiplicities)  # left unsorted if an index is no int, which weighted_sum then names
+        z = Factorization(tuple(sorted(counts.items()) if all(map(_is_int, counts)) else counts.items()))
         if self.weighted_sum(z) != v:
             raise NotAMemberError(f"{z.counts} does not factor {v}")
         return z
@@ -274,15 +276,19 @@ class PresentedMonoid:
 
     def weighted_sum(self, z: Factorization) -> Vector:
         """The element that ``z`` names: its atom indices must ascend and its multiplicities be counts >= 1."""
+        try:
+            counts = [(idx, mult) for idx, mult in z.counts]
+        except (TypeError, ValueError):
+            raise InvalidSpecificationError(f"counts must be (atom index, multiplicity) pairs: {z.counts!r}") from None
         total = [0] * len(self.alphabet)
-        for idx, mult in z.counts:
+        for idx, mult in counts:
             if not _is_int(idx) or not 0 <= idx < len(self.atoms):
                 raise InvalidSpecificationError(f"no atom with index {idx!r}")
             if not _is_int(mult) or mult < 1:
                 raise InvalidSpecificationError(f"multiplicity of atom {idx} must be >= 1")
             for i, x in enumerate(self.atoms[idx]):
                 total[i] += mult * x
-        if [idx for idx, _ in z.counts] != sorted({idx for idx, _ in z.counts}):
+        if [idx for idx, _ in counts] != sorted({idx for idx, _ in counts}):
             raise InvalidSpecificationError(f"atom indices must ascend, without repeats: {z.counts}")
         return tuple(total)
 
@@ -337,13 +343,13 @@ class PresentedMonoid:
         is the largest least length of a class, and a Betti element has two
         classes or more.  0 when no member has two classes.  A member holding
         a prime letter has one class, so a Betti element holds none and μ(v)
-        <= max L(v) <= the length cap: the walk stops at the cap.  First, if
-        :meth:`_pairs_pay`, a pair product uv at the cap with L(uv) = {2,
-        cap} settles the answer as the cap: uv is a member within the bound,
-        and a length-2 factorization shares no atom with another (u' | z
-        means z = u'v'), so the class of a length-cap one has least length cap."""
+        <= max L(v) <= the length cap: the walk stops at the cap.  First, a pair
+        product uv at the cap that :meth:`_cap_test` passes (no other has length
+        cap) with L(uv) = {2, cap} settles it as the cap: uv is a member within
+        the bound, and a length-2 factorization shares no atom with another
+        (u' | z means z = u'v'), so the class of a length-cap one has least length cap."""
         worst, cap = 0, self._length_cap(size_bound)
-        if self._pairs_pay(size_bound) and any(l == 4 | 1 << cap for l in self._pair_lengths(size_bound, lambda: cap)):
+        if any(l == 4 | 1 << cap for l in self._pair_lengths(size_bound, lambda: cap)):
             return cap
         for _, mask, _, below in self._members(size_bound):
             classes, rest = [], mask  # the R-classes, as atom bitmasks
@@ -365,10 +371,9 @@ class PresentedMonoid:
 
     def delta(self, size_bound: int) -> tuple[int, ...]:
         """Union of the gap sets of the members of 1-norm <= size_bound; stops at [1, length cap - 2].
-        Pair products at the cap come first, as in :meth:`catenary`, and all of them once one has the gap cap - 2."""
+        Pair products at the cap come first, sifted as in :meth:`catenary`, then all once one has the gap cap - 2."""
         cap, seen, gaps = self._length_cap(size_bound), set(), set()
-        first = self._pairs_pay(size_bound)
-        pairs = self._pair_lengths(size_bound, lambda: 0 if cap - 2 in gaps else cap) if first else ()
+        pairs = self._pair_lengths(size_bound, lambda: 0 if cap - 2 in gaps else cap)
         for lengths in chain(pairs, (row[2] for row in self._members(size_bound))):
             if lengths not in seen:
                 seen.add(lengths)
@@ -376,11 +381,6 @@ class PresentedMonoid:
                 if len(gaps) >= cap - 2:
                     break
         return tuple(sorted(gaps))
-
-    def _pairs_pay(self, size_bound: int) -> bool:
-        """Whether catenary and delta walk the pair products first: not at a cap <= 2, nor below
-        size_bound = 2 x the largest atom norm, where in the zero_sum_scan benchmark it cost more than it saved."""
-        return self._length_cap(size_bound) > 2 and size_bound >= 2 * max(map(sum, self.atoms), default=0)
 
     def _length_cap(self, size_bound: int) -> int:
         """No member of 1-norm <= size_bound holding no prime letter has a factorization longer than this. An
@@ -405,19 +405,43 @@ class PresentedMonoid:
         if _bound(size_bound) < 2:
             raise InvalidSpecificationError("rho2 needs size_bound >= 2")
         best = 0
-        for lengths in self._pair_lengths(size_bound, lambda: best + 1):
+        for lengths in self._pair_lengths(size_bound, lambda: best + 1, first_pass=False):
             best = max(best, lengths.bit_length() - 1)
         return best
 
-    def _pair_lengths(self, size_bound: int, floor: Callable[[], int]) -> Iterator[int]:
+    def _pair_lengths(self, size_bound: int, floor: Callable[[], int], first_pass: bool = True) -> Iterator[int]:
         """The pair loop: length-set bitmasks of the products of :meth:`_atom_pairs`, in its order, from one memo,
         up to the first pair whose own cap, max(2, (|a| + |b|) // least norm), is below ``floor()``; a pair
-        holding a prime has L = {2}."""
-        memo: dict = {}
+        holding a prime has L = {2}.  As the first pass of catenary and delta (not rho2) it reads no pair at a cap
+        <= 2, nor below 2 x the largest atom norm unless ``_sifts`` (where, unsifted, it cost zero_sum_scan more than
+        it saved), and passes over each pair of own cap ``floor()`` that :meth:`_cap_test` fails."""
+        memo, reaches = {}, first_pass and self._sifts and self._cap_test(size_bound)
+        if first_pass and (floor() <= 2 or not reaches and size_bound < 2 * max(map(sum, self.atoms), default=0)):
+            return
         for a, b in self._atom_pairs(size_bound):
-            if max(2, (sum(a) + sum(b)) // self._least_norm) < floor():
+            if (own := max(2, (sum(a) + sum(b)) // self._least_norm)) < (top := floor()):
                 return
-            yield self._length_set(tuple(map(add, a, b)), memo)
+            if not reaches or own != top or reaches(a, b):
+                yield self._length_set(tuple(map(add, a, b)), memo)
+
+    def _cap_test(self, size_bound: int) -> Callable[[Vector, Vector], bool]:
+        """Where ``_sifts``: for atoms u, v, |u| + |v| <= size_bound, false only if uv has no factorization of length
+        k = (|u| + |v|) // 2 >= 3.  The class defect (N_g - N_-g per class g != -g, N_g mod 2 per g = -g != 0, N_0) is
+        additive, 0 on atoms of norm 2, and keyed per atom when first met as (signed digits in base 2 size_bound + 1,
+        parity bits).  Unless u or v is a prime (N_0 = 1, L(uv) = {2}), uv holds none, so such a factorization takes
+        norm-2 atoms and, for odd |u| + |v|, one of norm 3, w: the defects of u and v add to 0, or to w's."""
+        neg, rows, _ = self._grading
+        base, classes = 2 * size_bound + 1, [(row[0], neg[row[0]]) for row in rows]  # of each letter and its negative
+        weights = [0 if g == h != 0 else base ** min(g, h) * (1 if g <= h else -1) for g, h in classes]
+        bits = [1 << g if g == h != 0 else 0 for g, h in classes]
+        key = cache(lambda w: (sum(map(mul, w, weights)), reduce(xor, compress(bits, (x & 1 for x in w)), 0)))
+        threes = cache(lambda: {key(w) for w in self.atoms if sum(w) == 3})
+
+        def reaches(u, v):
+            n, (s, p), (t, q) = sum(u) + sum(v), key(u), key(v)
+            return n < 6 or (s + t, p ^ q) in ({(0, 0)} if n % 2 == 0 else threes())
+
+        return reaches
 
     def half_factorial(self, size_bound: int):
         """(True, None) when every member of 1-norm <= size_bound has a

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from factorinv import factorize
+from factorinv import abelian, factorize
 from factorinv.abelian import make_group
 from factorinv.blocks import BlockMonoid, subset_nonzero
 from factorinv.errors import (
@@ -271,6 +271,38 @@ def test_distance_and_weighted_sum_check_hand_built_factorizations(counts, messa
     if len(counts) == 1:
         with pytest.raises(InvalidSpecificationError, match=message):
             P.factorization_of((3, 0), dict(counts))
+
+
+def test_factorization_of_refuses_index_keys_that_do_not_sort():
+    _, P = block_presented([3])  # atoms (0,3), (1,1), (3,0)
+    with pytest.raises(InvalidSpecificationError, match="^no atom with index 'a'$"):
+        P.factorization_of((3, 0), {"a": 1, 0: 1})
+
+
+@pytest.mark.parametrize("counts", [((0, 1, 2),), 5], ids=["a triple", "an int"])
+def test_weighted_sum_and_distance_refuse_counts_that_are_not_pairs(counts):
+    _, P = block_presented([3])
+    z, message = Factorization(counts), r"^counts must be \(atom index, multiplicity\) pairs: "
+    with pytest.raises(InvalidSpecificationError, match=message):
+        P.weighted_sum(z)
+    for pair in ((z, Factorization(((2, 1),))), (Factorization(((2, 1),)), z)):
+        with pytest.raises(InvalidSpecificationError, match=message):
+            P.distance(*pair)
+
+
+def test_block_and_krull_atoms_take_one_class_sum_test_each(monkeypatch):
+    calls, test = [], abelian._ZeroSumTest.__call__
+    monkeypatch.setattr(abelian._ZeroSumTest, "__call__", lambda self, v: calls.append(v) or test(self, v))
+    G = make_group([2, 4])
+    P = BlockMonoid(G, subset_nonzero(G)).presented()
+    assert calls == list(P.atoms)
+    calls.clear()
+    H = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (1, 3), "r": (1, 2)})
+    assert calls == list(H.atoms)
+    # a membership of its own still meets the grading's test as well, each once per atom
+    calls.clear()
+    PresentedMonoid(P.alphabet, lambda v: P.membership(v), P.atoms, grading=(G, P.alphabet))
+    assert calls == [a for a in P.atoms for _ in range(2)]
 
 
 def test_permutable_distance_examples():
