@@ -8,7 +8,8 @@ walk ANDs it slot by slot and hands each member that mask and its code.
 Bounded scans (delta, half-factoriality, the Betti-element catenary degree,
 the transfer check) read one member table, filled in (norm, lex) order from
 that walk: each member's dividing atoms and length set as int bitmasks, from
-the rows of its quotients.  One element's length set is a memoized walk and
+the rows of its quotients (the transfer check reads one per orbit of
+same-class letters).  One element's length set is a memoized walk and
 its catenary degree the Prim bottleneck of its factorizations; rho2, the
 first pass of catenary and delta, and the Krull fiber catenary walk the pairs
 of atoms, the first three in one loop, which sifts them for catenary and delta.
@@ -202,7 +203,10 @@ class PresentedMonoid:
         mapping: multiplicities must be positive and the weighted atom sum
         must equal ``v``."""
         v = self.check_member(v)
-        counts = dict(multiplicities)  # left unsorted if an index is no int, which weighted_sum then names
+        try:
+            counts = dict(multiplicities)  # left unsorted if an index is no int, which weighted_sum then names
+        except (TypeError, ValueError):
+            raise InvalidSpecificationError(f"multiplicities must map indices to counts: {multiplicities!r}") from None
         z = Factorization(tuple(sorted(counts.items()) if all(map(_is_int, counts)) else counts.items()))
         if self.weighted_sum(z) != v:
             raise NotAMemberError(f"{z.counts} does not factor {v}")
@@ -307,27 +311,32 @@ class PresentedMonoid:
         v = self.check_member(v)
         return _bottleneck(self._factorizations_from(v, 0, CATENARY_FACTORIZATION_LIMIT))
 
-    def _members(self, size_bound: int) -> Iterator[tuple[Vector, int, int, dict]]:
+    def _members(self, size_bound: int, classes=None) -> Iterator[tuple[Vector, int, int, dict]]:
         """The member table: (v, mask, lengths, below) per member v of 1-norm <= size_bound, by (norm, lex)
         order: the bitmasks of the atoms a that divide v in the monoid and of its lengths, and per such a, by
         its bit, the row of v - a, an earlier member keyed by its code in base size_bound + 1.  The walk hands
-        each member its code and the atoms dividing it as a vector."""
+        each member its code and the atoms dividing it as a vector.  With ``classes``, an int per letter (permuting
+        the letters of a class must keep the monoid), only the member of each orbit whose counts do not increase
+        along a class; v - a reads the row of its orbit's (the same lengths), keyed by v - a + class x base, sorted."""
         base, test = _bound(size_bound) + 1, self._scan_test
         weights = [base**i for i in range(len(self.alphabet))]
-        code_of = {1 << j: sum(map(mul, atom, weights)) for j, atom in enumerate(self.atoms)}
-        table: dict[int, tuple[int, int]] = {}  # member code -> its (mask, lengths) row
-        for v, code, rest in _zero_sum_vectors(*self._grading, size_bound, self._divides):
+        shift = [c * base for c in classes or ()]
+        step = {1 << j: tuple(map(sub, shift, a)) if classes else sum(map(mul, a, weights))
+                for j, a in enumerate(self.atoms)}  # per atom bit, what takes v to the key of v - a
+        links = classes and [max((j for j in range(i) if classes[j] == c), default=None) for i, c in enumerate(classes)]
+        table: dict = {}  # member code, or key with classes -> its (mask, lengths) row
+        for v, code, rest in _zero_sum_vectors(*self._grading, size_bound, self._divides, links):
             if test is not None and not test(v):
                 continue
-            below, lengths = {}, 0
+            below, lengths = {}, 0  # v - a has a row exactly when a divides v
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                if row := table.get(code - code_of[bit]):  # else v - a is no member: a does not divide v
+                if row := table.get(code - step[bit] if not classes else tuple(sorted(map(add, v, step[bit])))):
                     below[bit] = row
                     lengths |= row[1]
             # the mask is below's bits; L(0) = {0}; code | 0 drops the spare digit an int sum allocates, 8 bytes a row
-            row = table[code | 0] = sum(below), lengths << 1 or 1
+            row = table[code | 0 if not classes else tuple(sorted(map(add, v, shift)))] = sum(below), lengths << 1 or 1
             yield (v, *row, below)
 
     def catenary(self, size_bound: int) -> int:
@@ -492,7 +501,7 @@ def _evaluate(root, cache, children, combine, empty):
     return cache[root]
 
 
-def _zero_sum_vectors(neg, rows, moves, size_bound: int, divides) -> Iterator[tuple[Vector, int, int]]:
+def _zero_sum_vectors(neg, rows, moves, size_bound: int, divides, links=None) -> Iterator[tuple[Vector, int, int]]:
     """Count vectors v over letters with addition rows ``rows`` and moves
     ``moves`` (from ``abelian._tables``, negation map ``neg``) whose class
     sum vanishes, of 1-norm <= size_bound, by (norm, lex) order, each with its
@@ -504,7 +513,8 @@ def _zero_sum_vectors(neg, rows, moves, size_bound: int, divides) -> Iterator[tu
     ``reach[s][r]`` the bitmask of the class sums of exactly r letters from
     slots >= s, a slot value is taken only when the later slots can still
     close the class sum, and every leaf is a member.  Each layer extends it by
-    reach[s][r] = reach[s+1][r] | (reach[s][r-1] moved by slot s's class).
+    reach[s][r] = reach[s+1][r] | (reach[s][r-1] moved by slot s's class).  ``links`` (per slot, an earlier
+    slot or None) caps each slot's count at that slot's, checked as a child is pushed and at the last leaf.
     """
     width = len(rows)
     if not width:
@@ -533,13 +543,15 @@ def _zero_sum_vectors(neg, rows, moves, size_bound: int, divides) -> Iterator[tu
             if s:
                 v[s - 1] = k
             if not r or s == last:  # the later slots are empty, or slot s takes the rest
+                if r and links and links[last] is not None and r > v[links[last]]:
+                    continue
                 v[s:] = zeros[s:]
                 v[last] = r
                 yield tuple(v), code + r * weights[last], mask & tail[s] & closing[r if r < len(closing) else -1]
                 continue
             row, later, w, entries, top = rows[s], reach[s + 1], weights[s], divides[s], len(divides[s]) - 1
             children = []
-            for k in range(r + 1):
+            for k in range(r + 1 if links is None or links[s] is None else min(r, v[links[s]]) + 1):
                 if later[r - k] >> neg[h] & 1:
                     children.append((s + 1, r - k, h, k, code, mask & entries[k if k < top else top]))
                 h = row[h]

@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter, sub
+from operator import itemgetter, mul, sub
 from typing import Optional
 
 from .abelian import FinAbGroup, _zero_sum_test
@@ -169,10 +169,13 @@ class KrullMonoid(PresentedMonoid):
         The slots partition the primes, so a split's first-fit lift is its
         slots' rows side by side (for exponents ``have`` and a count k, the
         pieces that take k and the rest); each row is checked once per call.
+        A permutation of the primes within classes keeps the monoid and β,
+        so length sets, images and splits (Geroldinger, Halter-Koch, §3.4):
+        where a class holds two primes, one member per orbit is read, weighted
+        by the distinct orders of its slots' exponents, whose rows are all
+        checked; at a failure, every member is.
         """
         images = {w: lengths for w, _, lengths, _ in self._blocks.presented()._members(size_bound)}
-        elements = splits = 0
-        split_cache: dict[Vector, list] = {}
         order = [i for primes in self._slot_primes for i in primes]  # a member's exponents slot by slot
         by_slot = itemgetter(*order) if len(order) > 1 else tuple  # itemgetter of one index gives a bare entry
         ends = list(itertools.accumulate(map(len, self._slot_primes)))
@@ -190,28 +193,41 @@ class KrullMonoid(PresentedMonoid):
                     failing[k] = "has wrong images"
             return failing
 
-        for elements, (v, _, mine, _) in enumerate(self._members(size_bound), 1):
-            image = self._image(v)
-            theirs = images.get(image, 0)  # an image missing from the table has no lengths
-            if mine != theirs:
-                failure = f"length sets differ at {v}: {_lengths(mine)} vs {_lengths(theirs)}"
-                return TransferReport(False, elements, splits, failure)
-            if image not in split_cache:
-                split_cache[image] = self._two_splits(self.image_classes, image)
-            exponents = by_slot(v)
-            rows = [failing_rows(exponents[part]) for part in slices]
-            if not any(rows):
-                splits += len(split_cache[image])
-                continue
-            for splits, left in enumerate(split_cache[image], splits + 1):
-                failures = [row[k] for row, k in zip(rows, left) if k in row]
-                if failures:  # "does not multiply back" sorts first, and wins
-                    return TransferReport(False, elements, splits, f"lift of {v} {min(failures)}")
-        for surjectivity, target in enumerate(images, 1):
-            if target not in split_cache:
-                failure = f"no preimage found for {self._blocks._sequence(target)}"
-                return TransferReport(False, elements, splits, failure, surjectivity)
-        return TransferReport(True, elements, splits, None, len(images))
+        @functools.cache  # for this call: a slot's exponents -> their distinct orders and the counts failing in any
+        def orbit_rows(have: Vector) -> tuple[int, dict[int, str]]:
+            orders = {()}
+            for x in have:
+                orders = {o[:i] + (x,) + o[i:] for o in orders for i in range(len(o) + 1)}
+            return len(orders), {k: f for o in orders for k, f in failing_rows(o).items()}
+
+        def scan(classes) -> TransferReport:
+            """The report over every member, or with ``classes`` over one per orbit (void if it fails)."""
+            rows_of = orbit_rows if classes else functools.cache(lambda have: (1, failing_rows(have)))
+            elements = splits = 0
+            split_cache: dict[Vector, list] = {}
+            for v, _, mine, _ in self._members(size_bound, classes):
+                image, exponents = self._image(v), by_slot(v)
+                weights, rows = zip(*map(rows_of, map(exponents.__getitem__, slices)))
+                elements += (weight := functools.reduce(mul, weights))
+                theirs = images.get(image, 0)  # an image missing from the table has no lengths
+                if mine != theirs:
+                    failure = f"length sets differ at {v}: {_lengths(mine)} vs {_lengths(theirs)}"
+                    return TransferReport(False, elements, splits, failure)
+                if image not in split_cache:
+                    split_cache[image] = self._two_splits(self.image_classes, image)
+                for count, left in enumerate(split_cache[image] if any(rows) else (), splits + 1):
+                    failures = [row[k] for row, k in zip(rows, left) if k in row]
+                    if failures:  # "does not multiply back" sorts first, and wins
+                        return TransferReport(False, elements, count, f"lift of {v} {min(failures)}")
+                splits += weight * len(split_cache[image])
+            for surjectivity, target in enumerate(images, 1):
+                if target not in split_cache:
+                    failure = f"no preimage found for {self._blocks._sequence(target)}"
+                    return TransferReport(False, elements, splits, failure, surjectivity)
+            return TransferReport(True, elements, splits, None, len(images))
+
+        orbits = len(self.image_classes) < len(self.primes) and scan(self._slot)
+        return orbits if orbits and orbits.ok else scan(None)
 
     def atom_image(self, atom_index: int) -> Sequence:
         return self._blocks._sequence(self._image(self.atoms[atom_index]))

@@ -290,6 +290,15 @@ def test_weighted_sum_and_distance_refuse_counts_that_are_not_pairs(counts):
             P.distance(*pair)
 
 
+def test_factorization_of_refuses_multiplicities_that_are_no_mapping():
+    _, P = block_presented([3])  # over C3 minus 0
+    message = "^multiplicities must map indices to counts: "
+    with pytest.raises(InvalidSpecificationError, match=message + "5$"):
+        P.factorization_of((3, 0), 5)  # no iterable
+    with pytest.raises(InvalidSpecificationError, match=message + r"\[\(0, 1, 2\)\]$"):
+        P.factorization_of((3, 0), [(0, 1, 2)])  # a triple, not a pair
+
+
 def test_block_and_krull_atoms_take_one_class_sum_test_each(monkeypatch):
     calls, test = [], abelian._ZeroSumTest.__call__
     monkeypatch.setattr(abelian._ZeroSumTest, "__call__", lambda self, v: calls.append(v) or test(self, v))

@@ -5,8 +5,9 @@ single-element length walk of ``oracles``."""
 import functools
 import random
 import time
+from itertools import product
 from math import comb
-from operator import add
+from operator import add, sub
 
 import pytest
 
@@ -21,6 +22,7 @@ import oracles
 from conftest import SingleElementWalk, abelian_groups_up_to, refuse_single_element_walks
 from oracles import composition_scan, first_member_with_two_lengths, gap_scan, naive_rho2, prim_catenary
 from test_acceptance import krull_batch
+from test_krull import random_krull_monoids
 
 GROUPS = abelian_groups_up_to(12)
 BOUND = 6
@@ -109,6 +111,53 @@ def test_the_walk_hands_ungraded_monoids_and_the_krull_batch_their_codes_and_mas
     assert_walk_and_table_match_the_oracles(PresentedMonoid(["a", "b"], lambda v: not any(v), []), 4, "no atom")
     for H in krull_batch():
         assert_walk_and_table_match_the_oracles(H, BOUND, H.classes)
+
+
+# -- class links: one member per orbit of the prime permutations within classes
+
+
+def class_links(H):
+    """Per prime of a Krull monoid, the prime before it in its class, or None."""
+    links = [None] * len(H.primes)
+    for primes in H._slot_primes:
+        for earlier, later in zip(primes, primes[1:]):
+            links[later] = earlier
+    return links
+
+
+def is_representative(H, v):
+    """Whether the exponents of ``v`` do not increase along any class, in prime order."""
+    return all(v[i] >= v[j] for primes in H._slot_primes for i, j in zip(primes, primes[1:]))
+
+
+def test_the_linked_walk_and_table_keep_the_representatives_of_the_unlinked_ones():
+    shrunk = 0
+    for H in [*krull_batch(), *random_krull_monoids(40, 20261021)]:
+        for bound in (0, 1, BOUND):
+            walk = list(_zero_sum_vectors(*H._grading, bound, H._divides))
+            linked = list(_zero_sum_vectors(*H._grading, bound, H._divides, class_links(H)))
+            # the same order, codes and masks, member by member
+            assert linked == [row for row in walk if is_representative(H, row[0])], (H.classes, bound)
+            shrunk += len(linked) < len(walk)
+            rows = list(H._members(bound))
+            lengths_of = {v: lengths for v, _, lengths, _ in rows}
+            linked_rows = list(H._members(bound, H._slot))
+            assert [row[:3] for row in linked_rows] == [row[:3] for row in rows if is_representative(H, row[0])]
+            for v, mask, _, below in linked_rows:  # each quotient's row carries the lengths of v - a
+                assert sum(below) == mask
+                for bit, (_, lengths) in below.items():
+                    assert lengths == lengths_of[tuple(map(sub, v, H.atoms[bit.bit_length() - 1]))], (H.classes, v)
+    assert shrunk >= 40
+
+
+def test_eight_primes_of_one_class_leave_one_member_per_partition():
+    primes = [f"p{i}" for i in range(8)]
+    H = make_krull(make_group([1]), primes, {p: (0,) for p in primes})
+    assert len(list(H._members(5))) == comb(13, 8) == 1287
+    # the partitions of 0, ..., 5 into at most eight parts, by (norm, lex) order
+    partitions = [v for v in product(range(6), repeat=8) if sum(v) <= 5 and list(v) == sorted(v, reverse=True)]
+    assert [v for v, *_ in H._members(5, H._slot)] == sorted(partitions, key=lambda v: (sum(v), v))
+    assert len(partitions) == 19
 
 
 def test_the_walk_reads_a_count_past_the_largest_atom_entry_as_that_entry():

@@ -317,7 +317,7 @@ def test_verify_transfer_fails_on_a_nonzero_member_with_the_empty_image():
 def test_verify_transfer_reads_surjectivity_from_the_scanned_images():
     H = make_krull(make_group([3]), ["p", "q"], {"p": (1,), "q": (2,)})
     # a member table that skips the row of pq leaves the block member 1·2 without a preimage
-    H._members = lambda bound: (row for row in KrullMonoid._members(H, bound) if row[0] != (1, 1))
+    H._members = lambda bound, classes=None: (row for row in KrullMonoid._members(H, bound, classes) if row[0] != (1, 1))
     rep = H.verify_transfer(4)
     assert not rep.ok
     assert rep.failure == "no preimage found for 1·2"
@@ -562,6 +562,49 @@ def test_each_first_fit_row_is_computed_once_whatever_the_splits(monkeypatch):
     report = H.verify_transfer(8)
     assert report.splits_checked == 27873
     assert len(calls) <= 2 * len(rows) < report.splits_checked
+
+
+# -- verify_transfer reads one member per orbit of the prime permutations within classes
+
+
+def test_verify_transfer_by_orbits_equals_lifting_every_split_at_every_bound():
+    for H in krull_batch():
+        for bound in range(9):
+            assert H.verify_transfer(bound) == transfer_report_by_lifting(H, bound), (H.classes, bound)
+    for H in random_krull_monoids(40, 20261021):
+        for bound in range(2, 9):
+            assert H.verify_transfer(bound) == transfer_report_by_lifting(H, bound), (H.classes, bound)
+
+
+def test_verify_transfer_of_six_primes_per_class_at_bound_ten():
+    H = twelve_prime_c9_monoid()
+    assert H.verify_transfer(10) == TransferReport(True, 44968, 116962, None, 8)
+
+
+def test_verify_transfer_reads_one_row_per_orbit():
+    # eight primes of one class: 1,287 members of norm <= 5, in the 19 orbits of the partitions
+    primes = [f"p{i}" for i in range(8)]
+    H = make_krull(make_group([1]), primes, {p: (0,) for p in primes})
+    rows, members = [], H._members
+    H._members = lambda bound, classes=None: (rows.append(row) or row for row in members(bound, classes))
+    report = H.verify_transfer(5)
+    assert len(rows) == 19
+    assert report == transfer_report_by_lifting(H, 5) and report.elements_checked == 1287
+
+
+@pytest.mark.parametrize("fault, failure", [(one_more, "has wrong images"), (one_short, "does not multiply back")])
+def test_a_wrong_row_at_an_order_that_no_representative_has_fails_as_lifting_every_split_does(
+    monkeypatch, fault, failure
+):
+    # p^0 q r^2 s^3 is the one member within the bound whose splits read the row ((0, 1, 2), 2) of the
+    # class of p, q and r, and its orbit is read at p^2 q s^3: the rows of every order are checked, and
+    # the first failure comes from reading every member
+    H = make_krull(make_group([3]), ["p", "q", "r", "s"], {"p": (1,), "q": (1,), "r": (1,), "s": (2,)})
+    reached = first_fit_with(monkeypatch, {((0, 1, 2), 2): fault})
+    report = H.verify_transfer(6)
+    assert reached
+    assert report == transfer_report_by_lifting(H, 6, lift_with(fault, (0, 1, 2), 2))
+    assert report.failure == f"lift of (0, 1, 2, 3) {failure}"
 
 
 def test_verify_transfer_bounds():
