@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter, mul, sub
 from typing import Optional
 
-from .abelian import FinAbGroup, _zero_sum_test
+from .abelian import FinAbGroup, _tables, _zero_sum_test
 from .blocks import BlockMonoid, Sequence, _zero_sum_presentation
 from .errors import (
     FaithfulTowerError,
@@ -157,29 +157,26 @@ class KrullMonoid(PresentedMonoid):
     def verify_transfer(self, size_bound: int) -> "TransferReport":
         """Exhaustively check the transfer properties up to a size bound.
 
-        For every member v with |v| <= size_bound: the length set of v
-        equals that of its image in the block monoid (so only the empty
-        member has the empty image, whose length set is {0}); and every
-        2-split of the image lifts to a product decomposition of v with the
-        prescribed images.  Also checks that every zero-sum sequence over the
-        image classes of length <= size_bound is the image of a scanned member.
-        Stops at the first violation.  Length sets come from the member
-        tables of both monoids; images are class counts over
-        ``image_classes``, the block monoid's coordinates, in its scan order.
-        The slots partition the primes, so a split's first-fit lift is its
-        slots' rows side by side (for exponents ``have`` and a count k, the
-        pieces that take k and the rest); each row is checked once per call.
-        A permutation of the primes within classes keeps the monoid and β,
-        so length sets, images and splits (Geroldinger, Halter-Koch, §3.4):
-        where a class holds two primes, one member per orbit is read, weighted
-        by the distinct orders of its slots' exponents, whose rows are all
-        checked; at a failure, every member is.
+        For every member v with |v| <= size_bound: its length set equals its
+        image's in the block monoid (so only the empty member has the empty
+        image, of lengths {0}), and every 2-split of the image lifts to a
+        product decomposition of v with the prescribed images; and every
+        zero-sum sequence over the image classes of length <= size_bound is
+        the image of a scanned member.  Stops at the first violation.  A
+        split's first-fit lift is its slots' rows side by side (a row: the
+        pieces that take k of a slot's exponents and the rest), each checked
+        once per call; splits are counted from class sums, once per image, and
+        listed only at a failing row.  Permuting the primes within classes keeps
+        length sets, images and splits (Geroldinger, Halter-Koch, §3.4), so one
+        member per orbit is read, weighted by the distinct orders of its slots'
+        exponents, whose rows are all checked; at a failure, every member is.
         """
         images = {w: lengths for w, _, lengths, _ in self._blocks.presented()._members(size_bound)}
         order = [i for primes in self._slot_primes for i in primes]  # a member's exponents slot by slot
         by_slot = itemgetter(*order) if len(order) > 1 else tuple  # itemgetter of one index gives a bare entry
         ends = list(itertools.accumulate(map(len, self._slot_primes)))
         slices = list(map(slice, [0, *ends], ends))  # each slot's part of them
+        adds = _tables(self.group, self.image_classes)[1]  # class -> its addition row, for the split counts
 
         @functools.cache  # for this call: count -> failure, over the rows of ``have``
         def failing_rows(have: Vector) -> dict[int, str]:
@@ -195,16 +192,13 @@ class KrullMonoid(PresentedMonoid):
 
         @functools.cache  # for this call: a slot's exponents -> their distinct orders and the counts failing in any
         def orbit_rows(have: Vector) -> tuple[int, dict[int, str]]:
-            orders = {()}
-            for x in have:
-                orders = {o[:i] + (x,) + o[i:] for o in orders for i in range(len(o) + 1)}
-            return len(orders), {k: f for o in orders for k, f in failing_rows(o).items()}
+            return len(orders := _orders(have)), {k: f for o in orders for k, f in failing_rows(o).items()}
 
         def scan(classes) -> TransferReport:
             """The report over every member, or with ``classes`` over one per orbit (void if it fails)."""
             rows_of = orbit_rows if classes else functools.cache(lambda have: (1, failing_rows(have)))
             elements = splits = 0
-            split_cache: dict[Vector, list] = {}
+            split_counts: dict[Vector, int] = {}
             for v, _, mine, _ in self._members(size_bound, classes):
                 image, exponents = self._image(v), by_slot(v)
                 weights, rows = zip(*map(rows_of, map(exponents.__getitem__, slices)))
@@ -213,15 +207,16 @@ class KrullMonoid(PresentedMonoid):
                 if mine != theirs:
                     failure = f"length sets differ at {v}: {_lengths(mine)} vs {_lengths(theirs)}"
                     return TransferReport(False, elements, splits, failure)
-                if image not in split_cache:
-                    split_cache[image] = self._two_splits(self.image_classes, image)
-                for count, left in enumerate(split_cache[image] if any(rows) else (), splits + 1):
+                if image not in split_counts:
+                    split_counts[image] = _split_count(adds, image)
+                lefts = self._two_splits(self.image_classes, image) if any(rows) else ()
+                for count, left in enumerate(lefts, splits + 1):
                     failures = [row[k] for row, k in zip(rows, left) if k in row]
                     if failures:  # "does not multiply back" sorts first, and wins
                         return TransferReport(False, elements, count, f"lift of {v} {min(failures)}")
-                splits += weight * len(split_cache[image])
+                splits += weight * split_counts[image]
             for surjectivity, target in enumerate(images, 1):
-                if target not in split_cache:
+                if target not in split_counts:
                     failure = f"no preimage found for {self._blocks._sequence(target)}"
                     return TransferReport(False, elements, splits, failure, surjectivity)
             return TransferReport(True, elements, splits, None, len(images))
@@ -271,6 +266,25 @@ def _first_fit(have, needed: int) -> list[int]:
         takes[i] = m
         needed -= m
     return takes
+
+
+def _split_count(adds, counts: Vector) -> int:
+    """How many sub-count vectors of ``counts`` have class sum 0, over the addition rows ``adds`` of its classes."""
+    sums = [1] + [0] * (len(adds[0]) - 1)  # class-sum index -> sub-counts of the classes folded in so far
+    for row, m in zip(itertools.compress(adds, counts), filter(None, counts)):
+        sums, before = [0] * len(row), sums
+        for h, c in enumerate(before):
+            for _ in range(m + 1 if c else 0):
+                sums[h], h = sums[h] + c, row[h]
+    return sums[0]
+
+
+def _orders(have) -> list[Vector]:
+    """Every distinct order of ``have``, each once: each value in turn goes into every gap up to its first copy."""
+    orders = [()]
+    for x in sorted(have):
+        orders = [o[:i] + (x,) + o[i:] for o in orders for i in range((o + (x,)).index(x) + 1)]
+    return orders
 
 
 def make_krull(group: FinAbGroup, primes, class_map: dict) -> KrullMonoid:

@@ -1,11 +1,12 @@
+import itertools
 import random
 import time
 from collections import Counter
-from math import prod
+from math import factorial, prod
 
 import pytest
 
-from factorinv.abelian import make_group
+from factorinv.abelian import _tables, make_group
 from factorinv.blocks import Sequence, _atom_vectors
 from factorinv.errors import (
     FaithfulTowerError,
@@ -605,6 +606,41 @@ def test_a_wrong_row_at_an_order_that_no_representative_has_fails_as_lifting_eve
     assert reached
     assert report == transfer_report_by_lifting(H, 6, lift_with(fault, (0, 1, 2), 2))
     assert report.failure == f"lift of (0, 1, 2, 3) {failure}"
+
+
+def test_split_count_equals_the_length_of_the_split_list():
+    # the block members of norm <= 8 are the images at every bound up to 8
+    monoids = [*krull_batch(), *random_krull_monoids(40, 20261021), twelve_prime_c9_monoid()]
+    for H in monoids:
+        adds = _tables(H.group, H.image_classes)[1]
+        for w in H.block_monoid().presented().elements(8):
+            assert krull._split_count(adds, w) == len(H._two_splits(H.image_classes, w)), (H.classes, w)
+
+
+def test_a_passing_transfer_check_lists_no_split(monkeypatch):
+    def refuse(self, classes, counts):
+        raise RuntimeError("listed the 2-splits")
+
+    monkeypatch.setattr(KrullMonoid, "_two_splits", refuse)
+    reports = [H.verify_transfer(6) for H in krull_batch()]
+    # the patch is live: a failing first-fit row lists the splits of its member
+    first_fit_with(monkeypatch, {((1, 0, 2), 2): one_more})
+    with pytest.raises(RuntimeError, match="^listed the 2-splits$"):
+        for H in criterion_monoids():
+            H.verify_transfer(6)
+    monkeypatch.undo()
+    assert all(report.ok for report in reports)
+    assert reports == [transfer_report_by_lifting(H, 6) for H in krull_batch()]
+
+
+def test_orders_are_every_distinct_order_once():
+    for n in range(7):
+        for have in itertools.product(range(7), repeat=n):
+            if sum(have) <= 6:
+                orders = krull._orders(have)
+                assert set(orders) == set(itertools.permutations(have)), have
+                assert len(set(orders)) == len(orders), have
+                assert len(orders) == factorial(n) // prod(map(factorial, Counter(have).values())), have
 
 
 def test_verify_transfer_bounds():
