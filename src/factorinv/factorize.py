@@ -111,7 +111,7 @@ class PresentedMonoid:
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InvalidSpecificationError("alphabet labels must be distinct")
-        self.membership = membership
+        self.membership, self.grading = membership, grading
         if grading is None:
             # in the trivial group every vector has class sum zero, so the
             # walk yields every composition and each one is tested
@@ -123,7 +123,7 @@ class PresentedMonoid:
             self._grading, self._scan_test = _tables(group, classes), None
         self.atoms = tuple(tuple(a) for a in atoms)
         self._validate_atoms(grading and _zero_sum_test(*grading))
-        self._least_norm = min((n for n in map(sum, self.atoms) if n > 1), default=1)  # of the non-primes
+        self._least_norm = min(map(sum, self.atoms), default=2)  # 2 without atoms, where 0 is the only member
         self._sifts = grading is not None and self._least_norm == 2  # :meth:`_cap_test` applies
 
     def _validate_atoms(self, graded):
@@ -318,26 +318,40 @@ class PresentedMonoid:
         each member its code and the atoms dividing it as a vector.  With ``classes``, an int per letter (permuting
         the letters of a class must keep the monoid), only the member of each orbit whose counts do not increase
         along a class; v - a reads the row of its orbit's (the same lengths), keyed by v - a + class x base, sorted."""
-        base, test = _bound(size_bound) + 1, self._scan_test
+        base, test, atoms = _bound(size_bound) + 1, self._scan_test, self.atoms
         weights = [base**i for i in range(len(self.alphabet))]
         shift = [c * base for c in classes or ()]
-        step = {1 << j: tuple(map(sub, shift, a)) if classes else sum(map(mul, a, weights))
-                for j, a in enumerate(self.atoms)}  # per atom bit, what takes v to the key of v - a
+        step = {} if classes else {1 << j: sum(map(mul, a, weights)) for j, a in enumerate(atoms)}  # atom bit -> code
         links = classes and [max((j for j in range(i) if classes[j] == c), default=None) for i, c in enumerate(classes)]
         table: dict = {}  # member code, or key with classes -> its (mask, lengths) row
         for v, code, rest in _zero_sum_vectors(*self._grading, size_bound, self._divides, links):
             if test is not None and not test(v):
                 continue
-            below, lengths = {}, 0  # v - a has a row exactly when a divides v
+            below, lengths, key = {}, 0, classes and tuple(map(add, v, shift))  # v - a has a row iff a divides v
             while rest:
                 bit = rest & -rest
                 rest ^= bit
-                if row := table.get(code - step[bit] if not classes else tuple(sorted(map(add, v, step[bit])))):
+                if row := table.get(code - step[bit] if not classes else
+                                    tuple(sorted(map(sub, key, atoms[bit.bit_length() - 1])))):
                     below[bit] = row
                     lengths |= row[1]
             # the mask is below's bits; L(0) = {0}; code | 0 drops the spare digit an int sum allocates, 8 bytes a row
-            row = table[code | 0 if not classes else tuple(sorted(map(add, v, shift)))] = sum(below), lengths << 1 or 1
+            row = table[code | 0 if not classes else tuple(sorted(key))] = sum(below), lengths << 1 or 1
             yield (v, *row, below)
+
+    def _prime_free(self) -> tuple[PresentedMonoid, Optional[Callable[[Vector], Vector]]]:
+        """(H', embed) with H = F(P) x H': P the letters of the atoms of norm 1, primes, as no other atom holds one
+        (none lies below another), and H' the monoid on the other letters with the other atoms; ``embed`` puts zeros
+        back at P.  (self, None) without a prime.  Built per call of a scan, as no query changes a monoid."""
+        if self._least_norm > 1:
+            return self, None
+        primes = {a.index(1) for a in self.atoms if sum(a) == 1}
+        kept = [i for i in range(len(self.alphabet)) if i not in primes]
+        spots = [0 if i in primes else kept.index(i) + 1 for i in range(len(self.alphabet))]  # into (0, *w)
+        membership, embed = self.membership, lambda w: tuple(map((0, *w).__getitem__, spots))
+        grading = self.grading and (self.grading[0], [self.grading[1][i] for i in kept])
+        atoms = [tuple(a[i] for i in kept) for a in self.atoms if sum(a) > 1]
+        return PresentedMonoid([self.alphabet[i] for i in kept], lambda w: membership(embed(w)), atoms, grading), embed
 
     def catenary(self, size_bound: int) -> int:
         """Max of :meth:`catenary_of` over members of 1-norm <= size_bound,
@@ -350,17 +364,18 @@ class PresentedMonoid:
         linked by shared atoms) are the components of the graph on the atoms
         dividing v with a ~ a' when a' divides v - a (the member table); μ(v)
         is the largest least length of a class, and a Betti element has two
-        classes or more.  0 when no member has two classes.  A member holding
-        a prime letter has one class, so a Betti element holds none and μ(v)
-        <= max L(v) <= the length cap: the walk stops at the cap.  First, a pair
-        product uv at the cap that :meth:`_cap_test` passes (no other has length
-        cap) with L(uv) = {2, cap} settles it as the cap: uv is a member within
-        the bound, and a length-2 factorization shares no atom with another
-        (u' | z means z = u'v'), so the class of a length-cap one has least length cap."""
-        worst, cap = 0, self._length_cap(size_bound)
-        if any(l == 4 | 1 << cap for l in self._pair_lengths(size_bound, lambda: cap)):
+        classes or more.  0 when no member has two classes.  It runs on the
+        prime-free part, where μ(v) <= max L(v) <= the length cap: the walk
+        stops at the cap.  First, a pair product uv at the cap that
+        :meth:`_cap_test` passes (no other has length cap) with L(uv) = {2, cap}
+        settles it as the cap: uv is a member within the bound, and a length-2
+        factorization shares no atom with another (u' | z means z = u'v'), so
+        the class of a length-cap one has least length cap."""
+        H = self._prime_free()[0]
+        worst, cap = 0, H._length_cap(size_bound)
+        if any(l == 4 | 1 << cap for l in H._pair_lengths(size_bound, lambda: cap)):
             return cap
-        for _, mask, _, below in self._members(size_bound):
+        for _, mask, _, below in H._members(size_bound):
             classes, rest = [], mask  # the R-classes, as atom bitmasks
             while rest:
                 component = frontier = rest & -rest
@@ -381,9 +396,10 @@ class PresentedMonoid:
     def delta(self, size_bound: int) -> tuple[int, ...]:
         """Union of the gap sets of the members of 1-norm <= size_bound; stops at [1, length cap - 2].
         Pair products at the cap come first, sifted as in :meth:`catenary`, then all once one has the gap cap - 2."""
-        cap, seen, gaps = self._length_cap(size_bound), set(), set()
-        pairs = self._pair_lengths(size_bound, lambda: 0 if cap - 2 in gaps else cap)
-        for lengths in chain(pairs, (row[2] for row in self._members(size_bound))):
+        H = self._prime_free()[0]
+        cap, seen, gaps = H._length_cap(size_bound), set(), set()
+        pairs = H._pair_lengths(size_bound, lambda: 0 if cap - 2 in gaps else cap)
+        for lengths in chain(pairs, (row[2] for row in H._members(size_bound))):
             if lengths not in seen:
                 seen.add(lengths)
                 gaps.update(delta_of_set(_lengths(lengths)))
@@ -392,9 +408,7 @@ class PresentedMonoid:
         return tuple(sorted(gaps))
 
     def _length_cap(self, size_bound: int) -> int:
-        """No member of 1-norm <= size_bound holding no prime letter has a factorization longer than this. An
-        atom of norm 1 is a letter no other atom holds (none lies below another), so a prime: it adds one to
-        every length of a member holding it and changes no gap and no R-class."""
+        """No member of 1-norm <= size_bound has a factorization longer than this."""
         return _bound(size_bound) // self._least_norm
 
     def _atom_pairs(self, size_bound: int) -> Iterator[tuple[Vector, Vector]]:
@@ -413,36 +427,36 @@ class PresentedMonoid:
         pair whose length cap is at most the best."""
         if _bound(size_bound) < 2:
             raise InvalidSpecificationError("rho2 needs size_bound >= 2")
-        best = 0
-        for lengths in self._pair_lengths(size_bound, lambda: best + 1, first_pass=False):
+        best = 0 if (H := self._prime_free()[0]) is self else 2  # a prime p adds p·p, of L = {2}
+        for lengths in H._pair_lengths(size_bound, lambda: best + 1, first_pass=False):
             best = max(best, lengths.bit_length() - 1)
         return best
 
     def _pair_lengths(self, size_bound: int, floor: Callable[[], int], first_pass: bool = True) -> Iterator[int]:
         """The pair loop: length-set bitmasks of the products of :meth:`_atom_pairs`, in its order, from one memo,
-        up to the first pair whose own cap, max(2, (|a| + |b|) // least norm), is below ``floor()``; a pair
-        holding a prime has L = {2}.  As the first pass of catenary and delta (not rho2) it reads no pair at a cap
-        <= 2, nor below 2 x the largest atom norm unless ``_sifts`` (where, unsifted, it cost zero_sum_scan more than
-        it saved), and passes over each pair of own cap ``floor()`` that :meth:`_cap_test` fails."""
+        up to the first pair whose own cap, (|a| + |b|) // least norm, is below ``floor()``.  As the first pass of
+        catenary and delta (not rho2) it reads no pair at a cap <= 2, nor below 2 x the largest atom norm unless
+        ``_sifts`` (where, unsifted, it cost zero_sum_scan more than it saved), and passes over each pair of own cap
+        ``floor()`` that :meth:`_cap_test` fails."""
         memo, reaches = {}, first_pass and self._sifts and self._cap_test(size_bound)
         if first_pass and (floor() <= 2 or not reaches and size_bound < 2 * max(map(sum, self.atoms), default=0)):
             return
         for a, b in self._atom_pairs(size_bound):
-            if (own := max(2, (sum(a) + sum(b)) // self._least_norm)) < (top := floor()):
+            if (own := (sum(a) + sum(b)) // self._least_norm) < (top := floor()):
                 return
             if not reaches or own != top or reaches(a, b):
                 yield self._length_set(tuple(map(add, a, b)), memo)
 
     def _cap_test(self, size_bound: int) -> Callable[[Vector, Vector], bool]:
         """Where ``_sifts``: for atoms u, v, |u| + |v| <= size_bound, false only if uv has no factorization of length
-        k = (|u| + |v|) // 2 >= 3.  The class defect (N_g - N_-g per class g != -g, N_g mod 2 per g = -g != 0, N_0) is
-        additive, 0 on atoms of norm 2, and keyed per atom when first met as (signed digits in base 2 size_bound + 1,
-        parity bits).  Unless u or v is a prime (N_0 = 1, L(uv) = {2}), uv holds none, so such a factorization takes
-        norm-2 atoms and, for odd |u| + |v|, one of norm 3, w: the defects of u and v add to 0, or to w's."""
+        k = (|u| + |v|) // 2 >= 3.  The class defect (N_g - N_-g per class g != -g, N_g mod 2 per g = -g) is additive,
+        0 on atoms of norm 2, and keyed per atom when first met as (signed digits in base 2 size_bound + 1, parity
+        bits).  Such a factorization takes norm-2 atoms and, for odd |u| + |v|, one of norm 3, w: the defects of u and
+        v add to 0, or to w's."""
         neg, rows, _ = self._grading
         base, classes = 2 * size_bound + 1, [(row[0], neg[row[0]]) for row in rows]  # of each letter and its negative
-        weights = [0 if g == h != 0 else base ** min(g, h) * (1 if g <= h else -1) for g, h in classes]
-        bits = [1 << g if g == h != 0 else 0 for g, h in classes]
+        weights = [0 if g == h else base ** min(g, h) * (1 if g < h else -1) for g, h in classes]
+        bits = [1 << g if g == h else 0 for g, h in classes]
         key = cache(lambda w: (sum(map(mul, w, weights)), reduce(xor, compress(bits, (x & 1 for x in w)), 0)))
         threes = cache(lambda: {key(w) for w in self.atoms if sum(w) == 3})
 
@@ -457,11 +471,12 @@ class PresentedMonoid:
         singleton length set, else (False, (witness vector, its length set)).
 
         Members are scanned by (1-norm, lex) order, so the witness is the
-        first violator in that order.
+        first violator in that order, which holds no prime.
         """
-        for v, _, lengths, _ in self._members(size_bound):
+        H, embed = self._prime_free()
+        for v, _, lengths, _ in H._members(size_bound):
             if lengths & (lengths - 1):
-                return False, (v, _lengths(lengths))
+                return False, (embed(v) if embed else v, _lengths(lengths))
         return True, None
 
 

@@ -333,9 +333,9 @@ def test_capped_scans_match_the_oracles_with_an_atom_of_norm_one(memoized_oracle
         G = make_group(rng.choice([[2], [3], [4], [2, 2], [5], [6]]))
         primes = [f"p{i}" for i in range(rng.randint(2, 5))]
         classes = {p: rng.choice(G.elements()) for p in primes}
-        classes["p0"] = G.zero  # p0 is an atom of norm 1, a prime: it sets no cap
+        classes["p0"] = G.zero  # p0 is an atom of norm 1, a prime: it sets no cap on the prime-free part
         H = make_krull(G, primes, classes)
-        assert H._length_cap(8) < 8 or all(sum(a) == 1 for a in H.atoms)
+        assert H._prime_free()[0]._length_cap(8) < 8 or all(sum(a) == 1 for a in H.atoms)
         assert_capped_scans_match_the_oracles(H, range(2, 9))
 
 
@@ -393,24 +393,26 @@ class MemberTable(Exception):
 
 @pytest.mark.parametrize("orders", [[n] for n in range(3, 13)] + [[2, 2, 2], [2, 2, 2, 2]],
                          ids=lambda o: "x".join(map(str, o)))
-def test_a_pair_product_settles_catenary_and_delta_without_the_member_table(orders):
+def test_a_pair_product_settles_catenary_and_delta_without_the_member_table(orders, monkeypatch):
     G = make_group(orders)
     # over G the atom 0 is a prime, which sets no cap: the cap is the same as over G minus 0
-    for P in (full_block_monoid(orders), BlockMonoid(G, G.elements()).presented()):
+    monoids = full_block_monoid(orders), BlockMonoid(G, G.elements()).presented()
+    # every member table refuses, the prime-free part's too
+    monkeypatch.setattr(PresentedMonoid, "_members", refuse_the_member_table)
+    for P in monoids:
         davenport = max(map(sum, P.atoms))
         # C2^4 at bound 10, as in criterion 12, and every other group at 2 D(G):
         # the cap is D(G), reached by U (-U) for an atom U of norm D(G)
         bound = 10 if orders == [2, 2, 2, 2] else 2 * davenport
         cap = bound // 2
-        P._members = refuse_the_member_table
         assert P.catenary(bound) == cap
         assert P.delta(bound) == tuple(range(1, cap - 1))
         with pytest.raises(MemberTable):  # the patch is live
             P.half_factorial(bound)
 
 
-def refuse_the_member_table(bound):  # a generator, as the table is: it raises once read
-    raise MemberTable(bound)
+def refuse_the_member_table(*args):  # a generator, as the table is: it raises once read
+    raise MemberTable(args)
     yield
 
 
@@ -425,14 +427,14 @@ def test_no_pair_settles_where_the_catenary_degree_is_below_the_cap(orders, cate
     assert P.delta(bound) == delta and rows
 
 
-def test_a_pair_settles_below_twice_the_largest_atom_norm_even_with_a_prime():
+def test_a_pair_settles_below_twice_the_largest_atom_norm_even_with_a_prime(monkeypatch):
     # C7 at 13 is below 2 D(C7) = 14: an odd pair total 13 = 2·6 + 1 settles it, with one norm-3 atom
     # in its length-6 factorization, and the sift lets the pair through
     P = full_block_monoid([7])
     G = make_group([5])
     with_zero = BlockMonoid(G, G.elements()).presented()  # 0 is an atom of norm 1, a prime
     assert with_zero.delta(10) == (1, 2, 3)
-    P._members = with_zero._members = refuse_the_member_table
+    monkeypatch.setattr(PresentedMonoid, "_members", refuse_the_member_table)  # the prime-free part's too
     assert P.catenary(13) == 6 and P.delta(13) == (1, 2, 3, 4)
     # the prime sets no cap: 1^5 4^5 has L = {2, 5} and settles catenary at the cap 10 // 2
     assert with_zero.catenary(10) == 5
@@ -453,7 +455,8 @@ def test_the_pair_pass_reads_no_pair_without_a_finite_cap(monkeypatch):
     assert P.catenary(10) == 5 and P.delta(10) == (1, 2, 3)
 
 
-# -- an atom of norm 1 is a prime: it adds one to every length of a member holding it
+# -- an atom of norm 1 is a prime: it adds one to every length of a member holding it, and the
+# bounded scans split the primes off, H = F(P) x H', to run on the prime-free part H'
 
 
 def test_rho2_of_a_pair_holding_a_prime_is_two():
@@ -477,6 +480,72 @@ def test_the_atom_zero_changes_no_catenary_degree_nor_gap(orders):
         assert whole.rho2(bound) == max(nonzero.rho2(bound), 2), bound
 
 
+def with_class_zero_primes(H, count):
+    """The Krull monoid ``H`` with ``count`` more primes, of class 0."""
+    classes = {**H.classes, **{f"z{i}": H.group.zero for i in range(count)}}
+    return make_krull(H.group, sorted(classes), classes)
+
+
+def assert_split_scans_match_the_oracles(H, bounds):
+    """catenary, delta, rho2 and half_factorial (its witness too) of a monoid holding a prime, at each
+    bound from the top down, against the oracles, which read the monoid itself."""
+    assert H._prime_free()[0] is not H
+    for bound in sorted(bounds, reverse=True):
+        label = (H.atoms, bound)
+        assert H.catenary(bound) == prim_catenary(H, bound), label
+        assert H.delta(bound) == gap_scan(H, bound), label
+        assert H.rho2(bound) == naive_rho2(H.atoms, bound), label
+        assert H.half_factorial(bound) == first_member_with_two_lengths(H, bound), label
+
+
+SPLIT_GROUPS = [[1], [2], [3], [4], [2, 2], [5], [6], [7], [2, 4], [3, 3]]
+
+
+@pytest.mark.parametrize("orders", SPLIT_GROUPS, ids=lambda o: "x".join(map(str, o)))
+def test_the_split_scans_match_the_oracles_on_block_monoids_holding_zero(orders, memoized_oracles):
+    rng = random.Random(f"prime-free part:{orders}")
+    G = make_group(orders)
+    elements = G.elements()
+    whole = BlockMonoid(G, elements).presented()
+    monoids = [whole, PresentedMonoid(whole.alphabet, whole.membership, whole.atoms)]  # G, and ungraded
+    monoids += [BlockMonoid(G, [G.zero, *rng.sample(elements[1:], rng.randint(0, len(elements) - 1))]).presented()
+                for _ in range(2)]
+    for P in monoids:
+        assert_split_scans_match_the_oracles(P, range(2, 9))
+
+
+def test_the_split_scans_match_the_oracles_on_the_krull_batch_with_class_zero_primes(memoized_oracles):
+    for i, H in enumerate(krull_batch()):
+        assert_split_scans_match_the_oracles(with_class_zero_primes(H, 1 + i % 2), range(2, 9))
+
+
+def test_the_scans_read_the_prime_free_part():
+    G = make_group([6])
+    P = BlockMonoid(G, G.elements()).presented()
+    answers = P.catenary(10), P.delta(10), P.rho2(10), P.half_factorial(10)
+    # 2^3 4^3 = (2^3)(4^3) = (2 4)^3, of norm 6, the first member with two lengths, holds no 0
+    assert answers == (4, (1, 2), 5, (False, ((0, 0, 3, 0, 3, 0), (2, 3))))
+    P._members = refuse_the_member_table
+    P._pair_lengths = refuse_the_member_table
+    assert (P.catenary(10), P.delta(10), P.rho2(10), P.half_factorial(10)) == answers
+    with pytest.raises(MemberTable):  # the patches are live
+        list(P._pair_lengths(10, lambda: 0))
+
+
+def test_eight_class_zero_primes_and_two_of_class_one_leave_a_factorial_prime_free_part(monkeypatch):
+    # H' holds q, r of class 1 over C2, with atoms q^2, qr, r^2: its 36 members of norm <= 10
+    # are the vectors of even norm, where H holds 101,264 of them
+    primes = [f"p{i}" for i in range(8)] + ["q", "r"]
+    H = make_krull(make_group([2]), primes, {p: (0,) if p[0] == "p" else (1,) for p in primes})
+    rows, members = [], PresentedMonoid._members
+    monkeypatch.setattr(PresentedMonoid, "_members", lambda self, *args: (
+        rows.append(row) or row for row in members(self, *args)))
+    for scan, answer in [("catenary", 2), ("delta", ()), ("half_factorial", (True, None)), ("rho2", 2)]:
+        rows.clear()
+        assert getattr(H, scan)(10) == answer, scan
+        assert len(rows) <= 36, scan
+
+
 # -- the cap sift: a pair at the cap whose class defects do not cancel is not walked
 
 
@@ -492,10 +561,11 @@ def assert_the_sift_is_sound(P, bound):
 def test_the_cap_sift_drops_only_pairs_without_the_cap_length(orders, memoized_oracles):
     G = make_group(orders)
     for P in (full_block_monoid(orders), BlockMonoid(G, G.elements()).presented()):
-        assert P._sifts
+        H = P._prime_free()[0]  # over G the atom 0 is a prime: the pair pass sifts G minus 0
+        assert H._sifts
         davenport = max(map(sum, P.atoms))
         for bound in range(2 * davenport + 1, 3, -1):
-            assert_the_sift_is_sound(P, bound)
+            assert_the_sift_is_sound(H, bound)
             # the Prim oracle lists every factorization, too slowly over C8 above 13: there the
             # capped-scan test checks G minus 0 against the scan with the length cap lifted
             if orders != [8] or bound <= 13:
@@ -504,7 +574,7 @@ def test_the_cap_sift_drops_only_pairs_without_the_cap_length(orders, memoized_o
 
 
 def test_the_cap_sift_is_sound_on_the_krull_batch(memoized_oracles):
-    sifted = [H for H in krull_batch() if H._sifts]
+    sifted = [H for H in (K._prime_free()[0] for K in krull_batch()) if H._sifts]  # a class-0 prime split off
     assert len(sifted) >= 20
     for H in sifted:
         for bound in range(6, 10):
@@ -524,5 +594,6 @@ def test_the_cap_sift_needs_a_grading_and_atoms_of_norm_two():
     G = make_group([3])
     plain = full_block_monoid([3])
     assert plain._sifts and not PresentedMonoid(plain.alphabet, plain.membership, plain.atoms)._sifts
-    # primes of classes 0 and 1 over C3: the least non-prime atom norm is 3
-    assert not make_krull(G, ["p", "q"], {"p": (0,), "q": (1,)})._sifts
+    # primes of classes 0 and 1 over C3: the least norm of an atom of the prime-free part is 3
+    H = make_krull(G, ["p", "q"], {"p": (0,), "q": (1,)})
+    assert not H._sifts and not H._prime_free()[0]._sifts

@@ -582,6 +582,30 @@ def test_verify_transfer_of_six_primes_per_class_at_bound_ten():
     assert H.verify_transfer(10) == TransferReport(True, 44968, 116962, None, 8)
 
 
+class ReadAtoms(tuple):
+    """An atom tuple that records the index of each atom read, every index on a walk over all of them."""
+
+    def __new__(cls, atoms):
+        out = super().__new__(cls, atoms)
+        out.read = set()
+        return out
+
+    def __getitem__(self, index):
+        self.read.add(index)
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        self.read.update(range(len(self)))
+        return super().__iter__()
+
+
+def test_the_orbit_walk_reads_an_atom_only_when_a_member_meets_it():
+    H = twelve_prime_c9_monoid()
+    H.atoms = ReadAtoms(H.atoms)
+    assert H.verify_transfer(8) == TransferReport(True, 13937, 27873, None, 5)
+    assert 0 < len(H.atoms.read) < 1000 < len(H.atoms) == 17940
+
+
 def test_verify_transfer_reads_one_row_per_orbit():
     # eight primes of one class: 1,287 members of norm <= 5, in the 19 orbits of the partitions
     primes = [f"p{i}" for i in range(8)]

@@ -89,11 +89,19 @@ def krull_monoid(G):
     return make_krull(G, ["p", "q", "r", "s"], {"p": (1,), "q": (5,), "r": (2,), "s": (1,)})
 
 
+def krull_monoid_with_a_prime(G):
+    """A Krull monoid whose prime o, of class 0, is an atom of norm 1."""
+    return make_krull(G, ["o", "p", "q", "r"], {"o": (0,), "p": (1,), "q": (5,), "r": (2,)})
+
+
 def test_no_query_changes_a_monoid():
     G = make_group([6])
     blocks = BlockMonoid(G, subset_nonzero(G)).presented()
     plain = PresentedMonoid(blocks.alphabet, blocks.membership, blocks.atoms)
-    for monoid in (blocks, plain, krull_monoid(G)):
+    # over all of G the atom 0 is a prime, which the bounded scans split off
+    whole = BlockMonoid(G, G.elements()).presented()
+    plain_whole = PresentedMonoid(whole.alphabet, whole.membership, whole.atoms)
+    for monoid in (blocks, plain, krull_monoid(G), whole, plain_whole, krull_monoid_with_a_prime(G)):
         for name, query in queries(monoid, 8):
             before = snapshot(monoid)
             query()
@@ -121,6 +129,7 @@ def queried(make, queries_of, *args):
 def test_dropped_monoids_and_lattices_are_freed_without_the_cycle_collector():
     G = make_group([6])
     blocks = BlockMonoid(G, subset_nonzero(G)).presented()
+    whole = BlockMonoid(G, G.elements()).presented()
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -132,6 +141,11 @@ def test_dropped_monoids_and_lattices_are_freed_without_the_cycle_collector():
             "presented monoid": queried(lambda: PresentedMonoid(blocks.alphabet, blocks.membership, blocks.atoms),
                                         queries, 8),
             "Krull monoid": queried(lambda: krull_monoid(G), queries, 8),
+            "block monoid over G": queried(lambda: BlockMonoid(G, G.elements()),
+                                           lambda B, bound: queries(B.presented(), bound), 8),
+            "presented monoid over G": queried(lambda: PresentedMonoid(whole.alphabet, whole.membership, whole.atoms),
+                                               queries, 8),
+            "Krull monoid with a prime": queried(lambda: krull_monoid_with_a_prime(G), queries, 8),
         }
         assert [name for name, ref in refs.items() if ref() is not None] == []
     finally:
