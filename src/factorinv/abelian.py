@@ -147,7 +147,7 @@ def _is_int(x) -> bool:
 
 class _ZeroSumTest(tuple):
     """Whether a count vector has class sum zero, from the (order, letter residues) column of each cyclic factor:
-    a tuple, so its monoid makes no reference cycle, and the tests of one grading are equal."""
+    a tuple, so its monoid makes no reference cycle."""
 
     def __call__(self, v) -> bool:
         return not any(sum(map(mul, column, v)) % n for n, column in self)

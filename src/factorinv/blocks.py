@@ -166,7 +166,7 @@ class BlockMonoid:
 
     def presented(self) -> PresentedMonoid:
         """The exponent-vector presentation of this monoid, built on each call: keep it to reuse it."""
-        return PresentedMonoid(alphabet=self.subset, **_zero_sum_presentation(self.group, self.subset))
+        return object.__new__(PresentedMonoid)._present(self.subset, **_zero_sum_presentation(self.group, self.subset))
 
     def atoms(self) -> tuple[Sequence, ...]:
         """All minimal zero-sum sequences over the subset, sorted."""

@@ -111,35 +111,40 @@ class PresentedMonoid:
         self.alphabet = tuple(alphabet)
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InvalidSpecificationError("alphabet labels must be distinct")
-        self.membership, self.grading = membership, grading
-        if grading is None:
-            # in the trivial group every vector has class sum zero, so the
-            # walk yields every composition and each one is tested
-            self._grading, self._scan_test = _tables(FinAbGroup(()), [()] * len(self.alphabet)), membership
-        else:
-            group, classes = grading
+        if grading is not None:
+            group, classes = grading if isinstance(grading, (list, tuple)) and len(grading) == 2 else (None, None)
+            if not isinstance(group, FinAbGroup) or not isinstance(classes, (list, tuple)):
+                raise InvalidSpecificationError(f"a grading is a pair (FinAbGroup, list of classes), got {grading!r}")
             if len(classes) != len(self.alphabet):
                 raise InvalidSpecificationError("a grading needs one class per letter")
-            self._grading, self._scan_test = _tables(group, classes), None
-        self.atoms = tuple(tuple(a) for a in atoms)
-        self._validate_atoms(grading and _zero_sum_test(*grading))
-        self._least_norm = min(map(sum, self.atoms), default=2)  # 2 without atoms, where 0 is the only member
-        self._sifts = grading is not None and self._least_norm == 2  # :meth:`_cap_test` applies
-
-    def _validate_atoms(self, graded):
-        seen = set()
-        for a in self.atoms:
+            for g in classes:
+                group.check(g)
+        atoms, graded, seen = tuple(tuple(a) for a in atoms), grading and _zero_sum_test(*grading), set()
+        for a in atoms:
             if not self._is_vector(a):
                 raise InvalidSpecificationError(f"bad atom vector {a!r}")
             if not any(a):
                 raise InvalidSpecificationError("atoms must be nonzero")
-            if not self.membership(a):
+            if not membership(a):
                 raise InvalidSpecificationError(f"atom {a!r} fails membership")
-            if graded and graded != self.membership and not graded(a):  # equal for block and Krull monoids
+            if graded and not graded(a):
                 raise InvalidSpecificationError(f"atom {a!r} has a nonzero class sum in the grading")
             if a in seen:
                 raise InvalidSpecificationError(f"duplicate atom {a!r}")
             seen.add(a)
+        self._present(self.alphabet, membership, atoms, grading)
+        # name the first divided atom b, and its least divider a, by (1-norm, vector)
+        for _, b, j in sorted((sum(b), b, j) for j, b in enumerate(self.atoms)):
+            if others := self._dividing(b) ^ 1 << j:
+                _, a = min((sum(a), a) for k, a in enumerate(self.atoms) if others >> k & 1)
+                raise InvalidSpecificationError(f"atom {a!r} divides atom {b!r}")
+
+    def _present(self, alphabet, membership, atoms, grading) -> PresentedMonoid:
+        """Set the monoid up from trusted arguments, unchecked, and return it: the library builders call this alone."""
+        self.alphabet, self.membership, self.atoms, self.grading = tuple(alphabet), membership, tuple(atoms), grading
+        # ungraded: in the trivial group every vector has class sum zero, so the walk yields and tests every composition
+        self._grading = _tables(*(grading or (FinAbGroup(()), [()] * len(self.alphabet))))
+        self._scan_test = membership if grading is None else None
         self._divides = []  # per letter, value x up to its largest entry: the atoms with entry <= x
         for column in zip(*self.atoms) if self.atoms else [()] * len(self.alphabet):
             exact = [0] * (1 + max(column, default=0))
@@ -147,11 +152,9 @@ class PresentedMonoid:
                 exact[x] |= 1 << j
             below = 0
             self._divides.append([below := below | bits for bits in exact])
-        # name the first divided atom b, and its least divider a, by (1-norm, vector)
-        for _, b, j in sorted((sum(b), b, j) for j, b in enumerate(self.atoms)):
-            if others := self._dividing(b) ^ 1 << j:
-                _, a = min((sum(a), a) for k, a in enumerate(self.atoms) if others >> k & 1)
-                raise InvalidSpecificationError(f"atom {a!r} divides atom {b!r}")
+        self._least_norm = min(map(sum, self.atoms), default=2)  # 2 without atoms, where 0 is the only member
+        self._sifts = grading is not None and self._least_norm == 2  # :meth:`_cap_test` applies
+        return self
 
     def _dividing(self, v: Vector) -> int:
         """Bitmask of the atoms dividing the trusted vector ``v``."""
@@ -351,7 +354,8 @@ class PresentedMonoid:
         membership, embed = self.membership, lambda w: tuple(map((0, *w).__getitem__, spots))
         grading = self.grading and (self.grading[0], [self.grading[1][i] for i in kept])
         atoms = [tuple(a[i] for i in kept) for a in self.atoms if sum(a) > 1]
-        return PresentedMonoid([self.alphabet[i] for i in kept], lambda w: membership(embed(w)), atoms, grading), embed
+        H = object.__new__(PresentedMonoid)
+        return H._present([self.alphabet[i] for i in kept], lambda w: membership(embed(w)), atoms, grading), embed
 
     def catenary(self, size_bound: int) -> int:
         """Max of :meth:`catenary_of` over members of 1-norm <= size_bound,

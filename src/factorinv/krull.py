@@ -71,7 +71,7 @@ class KrullMonoid(PresentedMonoid):
 
         self._image = image
         classes = tuple(self.classes[p] for p in self.primes)
-        super().__init__(alphabet=self.primes, **_zero_sum_presentation(group, classes))
+        self._present(self.primes, **_zero_sum_presentation(group, classes))
 
     @classmethod
     def from_doc(cls, doc) -> "KrullMonoid":
@@ -105,6 +105,8 @@ class KrullMonoid(PresentedMonoid):
         blocks are atoms of the block monoid, the pieces are atoms.
         """
         v = self.check_member(v)
+        if not isinstance(blocks, (list, tuple)) or not all(isinstance(block, Sequence) for block in blocks):
+            raise InvalidElementError(f"blocks must be a list of Sequences, got {blocks!r}")
         product = Sequence.empty(self.group)
         for block in blocks:
             product = product * block
@@ -138,6 +140,8 @@ class KrullMonoid(PresentedMonoid):
 
     def two_splits(self, seq: Sequence) -> list[tuple[Sequence, Sequence]]:
         """All ordered splits of a zero-sum sequence into two zero-sum parts."""
+        if not isinstance(seq, Sequence):
+            raise InvalidElementError(f"a zero-sum sequence must be a Sequence, got {seq!r}")
         if seq.group != self.group:
             raise InvalidElementError("sequences live over different groups")
         if seq.sum() != self.group.zero:

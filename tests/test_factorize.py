@@ -7,6 +7,7 @@ from factorinv.abelian import make_group
 from factorinv.blocks import BlockMonoid, subset_nonzero
 from factorinv.errors import (
     IncomparableError,
+    InvalidElementError,
     InvalidSpecificationError,
     NotAMemberError,
     TruncatedEnumerationError,
@@ -20,7 +21,10 @@ from factorinv.factorize import (
 )
 from factorinv.krull import TransferReport, make_krull
 
+from conftest import abelian_groups_up_to
 from oracles import catenary_minimax, naive_factorizations, naive_length_set, naive_rho2
+from test_acceptance import krull_batch
+from test_krull import random_krull_monoids
 
 
 def block_presented(orders, subset=None):
@@ -299,19 +303,63 @@ def test_factorization_of_refuses_multiplicities_that_are_no_mapping():
         P.factorization_of((3, 0), [(0, 1, 2)])  # a triple, not a pair
 
 
-def test_block_and_krull_atoms_take_one_class_sum_test_each(monkeypatch):
+def test_block_and_krull_atoms_take_no_class_sum_test_and_a_callers_take_two_each(monkeypatch):
     calls, test = [], abelian._ZeroSumTest.__call__
     monkeypatch.setattr(abelian._ZeroSumTest, "__call__", lambda self, v: calls.append(v) or test(self, v))
     G = make_group([2, 4])
     P = BlockMonoid(G, subset_nonzero(G)).presented()
-    assert calls == list(P.atoms)
-    calls.clear()
     H = make_krull(G, ["p", "q", "r"], {"p": (0, 1), "q": (1, 3), "r": (1, 2)})
-    assert calls == list(H.atoms)
-    # a membership of its own still meets the grading's test as well, each once per atom
-    calls.clear()
+    assert calls == [] and len(P.atoms) == 38 and H.atoms
+    # a caller's atoms meet their membership and the grading's test, each once per atom
     PresentedMonoid(P.alphabet, lambda v: P.membership(v), P.atoms, grading=(G, P.alphabet))
     assert calls == [a for a in P.atoms for _ in range(2)]
+
+
+def test_library_builders_make_no_membership_test(monkeypatch):
+    calls, test = [], abelian._ZeroSumTest.__call__
+    monkeypatch.setattr(abelian._ZeroSumTest, "__call__", lambda self, v: calls.append(v) or test(self, v))
+    built = []
+    for orders in ([6], [2, 4], [3, 3]):
+        G = make_group(orders)
+        built += [BlockMonoid(G).presented(), BlockMonoid(G, subset_nonzero(G)).presented()]
+        primes = ["p", "q", "r", "s"]
+        built.append(make_krull(G, primes, dict(zip(primes, [G.zero, G.elements()[1], G.elements()[-1], G.zero]))))
+    primed = [P._prime_free()[0] for P in built]
+    assert calls == []
+    assert sum(H is not P for H, P in zip(primed, built)) == 6  # B(G) over G and the Krull monoids hold a prime
+    # a caller's membership meets the atoms at construction only
+    tested = []
+    P = PresentedMonoid(["a", "b"], lambda v: tested.append(v) or True, [(1, 0), (0, 1)])
+    tested.clear()
+    assert P._prime_free()[0].atoms == () and tested == []
+
+
+def rebuilt_equals(P) -> int:
+    """Rebuild the library presentation ``P`` through the public constructor, which checks its atoms and grading,
+    assert that it sets up the same tables, and return its atom count."""
+    Q = PresentedMonoid(P.alphabet, P.membership, P.atoms, P.grading)
+    assert Q.atoms == P.atoms and Q._divides == P._divides and Q._grading == P._grading, P.alphabet
+    assert (Q._least_norm, Q._sifts) == (P._least_norm, P._sifts), P.alphabet
+    return len(P.atoms)
+
+
+def test_block_presentations_and_their_prime_free_parts_pass_the_public_checks():
+    presentations = atoms = 0
+    for orders in abelian_groups_up_to(16):
+        G = make_group(orders)
+        for subset in filter(None, (G.elements(), subset_nonzero(G))):
+            P = BlockMonoid(G, subset).presented()
+            for Q in (P, P._prime_free()[0]):
+                presentations, atoms = presentations + 1, atoms + rebuilt_equals(Q)
+    assert (presentations, atoms) == (98, 41813)
+
+
+def test_krull_presentations_and_their_prime_free_parts_pass_the_public_checks():
+    monoids = [*krull_batch(), *random_krull_monoids(40, 20261022)]
+    primed = [H._prime_free()[0] for H in monoids]
+    for Q in monoids + primed:
+        rebuilt_equals(Q)
+    assert sum(Q is not H for Q, H in zip(primed, monoids)) == 60  # a class-0 prime is split off
 
 
 def test_permutable_distance_examples():
@@ -447,6 +495,24 @@ def test_presented_monoid_rejects_atoms_against_the_grading():
     P = PresentedMonoid(["a"], lambda v: tested.append(v) or v[0] % 3 == 0, [(3,)],
                         grading=(make_group([3]), [(1,)]))
     assert tested == [(3,)] and list(P.elements(6)) == [(0,), (3,), (6,)]
+
+
+C2xC2 = make_group([2, 2])
+
+
+@pytest.mark.parametrize("grading, message", [
+    ((C2xC2, [(1,)]), r"^\(1,\) is not a normalized element of C2xC2$"),
+    ((C2xC2, ["ab"]), r"^'ab' is not a normalized element of C2xC2$"),
+    ((C2xC2, [(3, 1)]), r"^\(3, 1\) is not a normalized element of C2xC2$"),
+    ((C2xC2, [(1.0, 1)]), r"^\(1.0, 1\) is not a normalized element of C2xC2$"),
+    ((C2xC2, [(1, 1, 1)]), r"^\(1, 1, 1\) is not a normalized element of C2xC2$"),
+    ((make_group([3]), [(5,)]), r"^\(5,\) is not a normalized element of C3$"),
+    (C2xC2, r"^a grading is a pair \(FinAbGroup, list of classes\), got FinAbGroup\(orders=\(2, 2\)\)$"),
+])
+def test_the_public_constructor_refuses_a_grading_other_than_a_group_and_normalized_classes(grading, message):
+    error = InvalidSpecificationError if isinstance(grading, abelian.FinAbGroup) else InvalidElementError
+    with pytest.raises(error, match=message):
+        PresentedMonoid(["a"], lambda v: v[0] % 2 == 0, [(2,)], grading=grading)
 
 
 def test_rho2_requires_bound_two():

@@ -168,6 +168,8 @@ def test_two_splits_rejects_a_sequence_over_another_group():
     H = c2_monoid()
     with pytest.raises(InvalidElementError, match="different groups"):
         H.two_splits(Sequence.from_counts(make_group([4]), {(1,): 4}))
+    with pytest.raises(InvalidElementError, match=r"^a zero-sum sequence must be a Sequence, got \(1,\)$"):
+        H.two_splits((1,))
 
 
 def test_krull_atoms_equal_the_expansion_of_the_block_atoms():
@@ -264,6 +266,9 @@ def test_lift_factorization_rejects_blocks_that_are_not_zero_sum():
     # the group is checked first
     with pytest.raises(InvalidElementError, match="different groups"):
         H.lift_factorization((1, 1), [Sequence.from_counts(make_group([4]), {(1,): 1}), *halves])
+    for blocks in ([5], 5, (halves[0], None)):
+        with pytest.raises(InvalidElementError, match=r"^blocks must be a list of Sequences, got "):
+            H.lift_factorization((1, 1), blocks)
 
 
 def test_verify_transfer_factorial():
