@@ -9,6 +9,7 @@ values are immutable and all operations pure.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from math import gcd, prod
 from operator import mul
@@ -143,6 +144,13 @@ def make_group(orders) -> FinAbGroup:
 def _is_int(x) -> bool:
     """Whether ``x`` is an integer and not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _tuple_of(items, what: str) -> tuple:
+    """``items`` as a tuple, which must be iterable: ``what`` names them in the error."""
+    if not isinstance(items, Iterable):
+        raise InvalidSpecificationError(f"{what} must be iterable, got {items!r}")
+    return tuple(items)
 
 
 class _ZeroSumTest(tuple):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .abelian import Element, FinAbGroup, _is_int, _tables, _translate, _zero_sum_test
+from .abelian import Element, FinAbGroup, _is_int, _tables, _translate, _tuple_of, _zero_sum_test
 from .errors import InvalidElementError, InvalidSpecificationError
 from .factorize import PresentedMonoid, _bound, _evaluate, _zero_sum_vectors
 
@@ -128,10 +128,12 @@ class BlockMonoid:
     """
 
     def __init__(self, group: FinAbGroup, subset=None):
+        if not isinstance(group, FinAbGroup):
+            raise InvalidSpecificationError(f"a block monoid needs a FinAbGroup, got {group!r}")
         self.group = group
         if subset is None:
             subset = group.elements()
-        subset = tuple(sorted({group.check(tuple(g)) for g in subset}))
+        subset = tuple(sorted({group.check(_tuple_of(g, "an element")) for g in _tuple_of(subset, "a subset")}))
         if not subset:
             raise InvalidSpecificationError("the subset G0 must be nonempty")
         self.subset = subset

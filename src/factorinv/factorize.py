@@ -12,7 +12,7 @@ the rows of its quotients (the transfer check reads one per orbit of
 same-class letters).  One element's length set is a memoized walk and
 its catenary degree the Prim bottleneck of its factorizations; rho2, the
 first pass of catenary and delta, and the Krull fiber catenary walk the pairs
-of atoms, the first three in one loop, which sifts them for catenary and delta.
+of atoms, the first three in one loop, which sifts them.
 Each public call builds its own memo, so no query changes a monoid.
 
 Public methods validate their input once; internal scans work on trusted
@@ -25,9 +25,10 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, chain, compress
 from operator import add, and_, mul, sub, xor
-from typing import Callable, Iterator, Optional
+from struct import pack
+from typing import Callable, Iterable, Iterator, Optional
 
-from .abelian import FinAbGroup, _is_int, _tables, _translate, _zero_sum_test
+from .abelian import FinAbGroup, _is_int, _tables, _translate, _tuple_of, _zero_sum_test
 from .errors import (
     IncomparableError,
     InvalidSpecificationError,
@@ -41,6 +42,9 @@ Vector = tuple[int, ...]
 DEFAULT_FACTORIZATION_LIMIT = 1_000_000
 #: Cap on the factorizations ``catenary_of`` lists, as its Prim step is quadratic in their number.
 CATENARY_FACTORIZATION_LIMIT = 1000
+
+#: Per byte b, the ``bytes.translate`` table that maps b to "1" and every other byte to "0".
+_ONE_AT = [b"0" * b + b"1" + b"0" * (255 - b) for b in range(256)]
 
 
 @dataclass(frozen=True)
@@ -108,9 +112,11 @@ class PresentedMonoid:
     """
 
     def __init__(self, alphabet, membership: Callable[[Vector], bool], atoms, grading=None):
-        self.alphabet = tuple(alphabet)
+        self.alphabet = _tuple_of(alphabet, "an alphabet")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise InvalidSpecificationError("alphabet labels must be distinct")
+        if not callable(membership):
+            raise InvalidSpecificationError(f"a membership test must be callable, got {membership!r}")
         if grading is not None:
             group, classes = grading if isinstance(grading, (list, tuple)) and len(grading) == 2 else (None, None)
             if not isinstance(group, FinAbGroup) or not isinstance(classes, (list, tuple)):
@@ -119,7 +125,8 @@ class PresentedMonoid:
                 raise InvalidSpecificationError("a grading needs one class per letter")
             for g in classes:
                 group.check(g)
-        atoms, graded, seen = tuple(tuple(a) for a in atoms), grading and _zero_sum_test(*grading), set()
+        atoms = tuple(tuple(a) if isinstance(a, Iterable) else a for a in _tuple_of(atoms, "atoms"))
+        graded, seen = grading and _zero_sum_test(*grading), set()
         for a in atoms:
             if not self._is_vector(a):
                 raise InvalidSpecificationError(f"bad atom vector {a!r}")
@@ -147,11 +154,21 @@ class PresentedMonoid:
         self._scan_test = membership if grading is None else None
         self._divides = []  # per letter, value x up to its largest entry: the atoms with entry <= x
         for column in zip(*self.atoms) if self.atoms else [()] * len(self.alphabet):
-            exact = [0] * (1 + max(column, default=0))
-            for j, x in enumerate(column):
-                exact[x] |= 1 << j
-            below = 0
-            self._divides.append([below := below | bits for bits in exact])
+            values, top = set(column), max(column, default=0)
+            # the entries as 8-byte little-endian words, last atom first, cut into byte lanes (lane i: byte i of
+            # each): the atoms with entry x are the AND over lanes of the lane, "1" at x's byte i, as a binary numeral
+            words = pack(f"<{len(column)}Q", *reversed(column))
+            lanes = [words[i::8] for i in range((top.bit_length() + 7) // 8)]
+            below, row = 0, []
+            for x in range(top):
+                if x in values:  # a value no atom has keeps the mask before it
+                    exact = -1
+                    for i, lane in enumerate(lanes):
+                        exact &= int(lane.translate(_ONE_AT[x >> 8 * i & 255]), 2)
+                    below |= exact
+                row.append(below)
+            row.append((1 << len(column)) - 1)  # every atom has an entry <= top
+            self._divides.append(row)
         self._least_norm = min(map(sum, self.atoms), default=2)  # 2 without atoms, where 0 is the only member
         self._sifts = grading is not None and self._least_norm == 2  # :meth:`_cap_test` applies
         return self
@@ -166,7 +183,7 @@ class PresentedMonoid:
     # -- element handling ------------------------------------------------
 
     def _is_vector(self, v: tuple) -> bool:
-        return len(v) == len(self.alphabet) and all(_is_int(x) and x >= 0 for x in v)
+        return isinstance(v, tuple) and len(v) == len(self.alphabet) and all(_is_int(x) and x >= 0 for x in v)
 
     def contains(self, v) -> bool:
         v = tuple(v)
@@ -353,7 +370,8 @@ class PresentedMonoid:
         spots = [0 if i in primes else kept.index(i) + 1 for i in range(len(self.alphabet))]  # into (0, *w)
         membership, embed = self.membership, lambda w: tuple(map((0, *w).__getitem__, spots))
         grading = self.grading and (self.grading[0], [self.grading[1][i] for i in kept])
-        atoms = [tuple(a[i] for i in kept) for a in self.atoms if sum(a) > 1]
+        columns = zip(*(a for a in self.atoms if sum(a) > 1))
+        atoms = list(zip(*(column for i, column in enumerate(columns) if i not in primes)))  # the others, off P
         H = object.__new__(PresentedMonoid)
         return H._present([self.alphabet[i] for i in kept], lambda w: membership(embed(w)), atoms, grading), embed
 
@@ -370,14 +388,14 @@ class PresentedMonoid:
         is the largest least length of a class, and a Betti element has two
         classes or more.  0 when no member has two classes.  It runs on the
         prime-free part, where μ(v) <= max L(v) <= the length cap: the walk
-        stops at the cap.  First, a pair product uv at the cap that
-        :meth:`_cap_test` passes (no other has length cap) with L(uv) = {2, cap}
-        settles it as the cap: uv is a member within the bound, and a length-2
+        stops at the cap.  First, above a cap of 2, a pair product uv at the cap
+        that :meth:`_cap_test` passes (no other has length cap) with L(uv) = {2,
+        cap} settles it as the cap: uv is a member within the bound, and a length-2
         factorization shares no atom with another (u' | z means z = u'v'), so
         the class of a length-cap one has least length cap."""
         H = self._prime_free()[0]
         worst, cap = 0, H._length_cap(size_bound)
-        if any(l == 4 | 1 << cap for l in H._pair_lengths(size_bound, lambda: cap)):
+        if cap > 2 and any(l == 4 | 1 << cap for l in H._pair_lengths(size_bound, lambda: cap)):
             return cap
         for _, mask, _, below in H._members(size_bound):
             classes, rest = [], mask  # the R-classes, as atom bitmasks
@@ -428,23 +446,19 @@ class PresentedMonoid:
     def rho2(self, size_bound: int) -> int:
         """Largest factorization length of a product of two atoms of total 1-norm <= size_bound,
         from the pair loop, which :meth:`catenary` and :meth:`delta` share: it stops at the first
-        pair whose length cap is at most the best."""
+        pair whose length cap is at most the best, and a pair it sifts out cannot beat the best."""
         if _bound(size_bound) < 2:
             raise InvalidSpecificationError("rho2 needs size_bound >= 2")
         best = 0 if (H := self._prime_free()[0]) is self else 2  # a prime p adds p·p, of L = {2}
-        for lengths in H._pair_lengths(size_bound, lambda: best + 1, first_pass=False):
+        for lengths in H._pair_lengths(size_bound, lambda: best + 1):
             best = max(best, lengths.bit_length() - 1)
         return best
 
-    def _pair_lengths(self, size_bound: int, floor: Callable[[], int], first_pass: bool = True) -> Iterator[int]:
+    def _pair_lengths(self, size_bound: int, floor: Callable[[], int]) -> Iterator[int]:
         """The pair loop: length-set bitmasks of the products of :meth:`_atom_pairs`, in its order, from one memo,
-        up to the first pair whose own cap, (|a| + |b|) // least norm, is below ``floor()``.  As the first pass of
-        catenary and delta (not rho2) it reads no pair at a cap <= 2, nor below 2 x the largest atom norm unless
-        ``_sifts`` (where, unsifted, it cost zero_sum_scan more than it saved), and passes over each pair of own cap
-        ``floor()`` that :meth:`_cap_test` fails."""
-        memo, reaches = {}, first_pass and self._sifts and self._cap_test(size_bound)
-        if first_pass and (floor() <= 2 or not reaches and size_bound < 2 * max(map(sum, self.atoms), default=0)):
-            return
+        up to the first pair whose own cap, (|a| + |b|) // least norm, is below ``floor()``.  Where ``_sifts`` it
+        passes over each pair of own cap ``floor()`` that :meth:`_cap_test` fails: no caller needs its lengths."""
+        memo, reaches = {}, self._sifts and self._cap_test(size_bound)
         for a, b in self._atom_pairs(size_bound):
             if (own := (sum(a) + sum(b)) // self._least_norm) < (top := floor()):
                 return

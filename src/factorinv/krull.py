@@ -17,9 +17,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter, mul, sub
-from typing import Optional
+from typing import Mapping, Optional
 
-from .abelian import FinAbGroup, _tables, _zero_sum_test
+from .abelian import FinAbGroup, _tables, _tuple_of, _zero_sum_test
 from .blocks import BlockMonoid, Sequence, _zero_sum_presentation
 from .errors import (
     FaithfulTowerError,
@@ -36,8 +36,12 @@ class KrullMonoid(PresentedMonoid):
     """Exponent vectors over named primes with vanishing class sum."""
 
     def __init__(self, group: FinAbGroup, primes, class_map: dict):
+        if not isinstance(group, FinAbGroup):
+            raise InvalidSpecificationError(f"a Krull monoid needs a FinAbGroup, got {group!r}")
+        if not isinstance(class_map, Mapping):
+            raise InvalidSpecificationError(f"a class map must map prime names to classes, got {class_map!r}")
         self.group = group
-        self.primes = tuple(primes)
+        self.primes = _tuple_of(primes, "primes")
         if not self.primes:
             raise InvalidSpecificationError("a Krull monoid needs at least one prime")
         if not all(isinstance(p, str) for p in self.primes):
@@ -50,7 +54,7 @@ class KrullMonoid(PresentedMonoid):
         missing = set(self.primes) - set(class_map)
         if missing:
             raise InvalidSpecificationError(f"class map must be total on primes; missing {sorted(missing)}")
-        self.classes = {p: group.check(tuple(class_map[p])) for p in self.primes}
+        self.classes = {p: group.check(_tuple_of(class_map[p], f"the class of {p!r}")) for p in self.primes}
         self.image_classes = tuple(sorted(set(self.classes.values())))
         # prime index -> image-class slot, and slot -> its primes in prime order
         self._slot = tuple(self.image_classes.index(self.classes[p]) for p in self.primes)
@@ -173,7 +177,8 @@ class KrullMonoid(PresentedMonoid):
         listed only at a failing row.  Permuting the primes within classes keeps
         length sets, images and splits (Geroldinger, Halter-Koch, §3.4), so one
         member per orbit is read, weighted by the distinct orders of its slots'
-        exponents, whose rows are all checked; at a failure, every member is.
+        exponents, whose rows are all checked; every member is read only to name
+        a failing length set or row, the first in (norm, lex) order.
         """
         images = {w: lengths for w, _, lengths, _ in self._blocks.presented()._members(size_bound)}
         order = [i for primes in self._slot_primes for i in primes]  # a member's exponents slot by slot
@@ -199,8 +204,8 @@ class KrullMonoid(PresentedMonoid):
             return len(orders := _orders(have)), {k: f for o in orders for k, f in failing_rows(o).items()}
 
         def scan(classes) -> TransferReport:
-            """The report over every member, or with ``classes`` over one per orbit (void if it fails)."""
-            rows_of = orbit_rows if classes else functools.cache(lambda have: (1, failing_rows(have)))
+            """The report over every member, or with ``classes`` over one per orbit (void if a length or row fails)."""
+            rows_of = orbit_rows if classes else lambda have: (1, failing_rows(have))
             elements = splits = 0
             split_counts: dict[Vector, int] = {}
             for v, _, mine, _ in self._members(size_bound, classes):
@@ -225,8 +230,8 @@ class KrullMonoid(PresentedMonoid):
                     return TransferReport(False, elements, splits, failure, surjectivity)
             return TransferReport(True, elements, splits, None, len(images))
 
-        orbits = len(self.image_classes) < len(self.primes) and scan(self._slot)
-        return orbits if orbits and orbits.ok else scan(None)
+        orbits = scan(self._slot)  # a surjectivity failure comes after every orbit has passed: it is final
+        return orbits if orbits.ok or orbits.surjectivity_checked else scan(None)
 
     def atom_image(self, atom_index: int) -> Sequence:
         return self._blocks._sequence(self._image(self.atoms[atom_index]))

@@ -166,6 +166,15 @@ def test_atoms_empty_subset_rejected():
     G = make_group([3])
     with pytest.raises(InvalidSpecificationError):
         BlockMonoid(G, [])
+    # arguments of the wrong kind end in one error line
+    for args, message in [
+        (([3],), "a block monoid needs a FinAbGroup, got [3]"),
+        ((G, 5), "a subset must be iterable, got 5"),
+        ((G, [1]), "an element must be iterable, got 1"),
+    ]:
+        with pytest.raises(InvalidSpecificationError) as caught:
+            BlockMonoid(*args)
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("orders", [[2], [3], [4], [2, 2], [5], [6], [3, 3]])

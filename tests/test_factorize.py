@@ -54,6 +54,11 @@ def test_presented_monoid_rejects_bad_atoms():
         # the first divided atom, and its least divider, by (1-norm, vector)
         (["a", "b"], anything, [(2, 1), (1, 1), (1, 0), (0, 1)], "atom (0, 1) divides atom (1, 1)"),
         (["a", "b"], anything, [(2, 2), (1, 1), (0, 2)], "atom (0, 2) divides atom (2, 2)"),
+        # arguments of the wrong kind
+        (["a"], anything, [5], "bad atom vector 5"),
+        (["a"], 5, [(1,)], "a membership test must be callable, got 5"),
+        (["a"], anything, 5, "atoms must be iterable, got 5"),
+        (5, anything, [], "an alphabet must be iterable, got 5"),
     ]
     for alphabet, membership, atoms, message in cases:
         with pytest.raises(InvalidSpecificationError) as caught:
@@ -360,6 +365,25 @@ def test_krull_presentations_and_their_prime_free_parts_pass_the_public_checks()
     for Q in monoids + primed:
         rebuilt_equals(Q)
     assert sum(Q is not H for Q, H in zip(primed, monoids)) == 60  # a class-0 prime is split off
+
+
+def test_dividing_atoms_equal_the_atoms_below_a_vector():
+    # the table of each letter is built from the bytes of its entries: entries of 256 and more take two
+    # lanes or three, and a vector past a row's end reads its last entry
+    rng = random.Random("dividing atoms")
+    C4, C300 = make_group([4]), make_group([300])
+    monoids = [block_presented([2, 4])[1], BlockMonoid(C4, C4.elements()).presented(), block_presented([7])[1],
+               make_krull(C300, ["p", "q", "r"], {"p": (1,), "q": (299,), "r": (2,)}),
+               *krull_batch()[:5]]
+    monoids += [PresentedMonoid(P.alphabet, P.membership, P.atoms) for P in monoids[:2]]  # ungraded
+    monoids += [PresentedMonoid(["a", "b"], lambda v: sum(v) % 511 == 0, [(n, 511 - n) for n in range(512)]),
+                PresentedMonoid(["a", "b"], lambda v: v[0] % 70000 == 0, [(70000, 0), (0, 1)])]
+    for P in monoids:
+        tops = [max(column) + 2 for column in zip(*P.atoms)]
+        for _ in range(200):
+            v = tuple(rng.randint(0, top) for top in tops)
+            below = sum(1 << j for j, a in enumerate(P.atoms) if all(x <= y for x, y in zip(a, v)))
+            assert P._dividing(v) == below, (P.atoms[:3], v)
 
 
 def test_permutable_distance_examples():

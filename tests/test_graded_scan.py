@@ -589,6 +589,22 @@ def test_the_cap_sift_walks_few_of_the_pairs_at_the_cap():
     assert 0 < len(walked) <= 12
 
 
+@pytest.mark.parametrize("orders", [[3, 3], [2, 4]], ids=lambda o: "x".join(map(str, o)))
+def test_rho2_walks_no_pair_product_that_the_cap_sift_drops(orders):
+    # a pair at own cap best + 1 that the sift drops has no factorization that long: it cannot raise the best
+    P = full_block_monoid(orders)
+    reaches, pairs, walked = P._cap_test(10), [], []
+    atom_pairs, length_set = P._atom_pairs, P._length_set
+    P._atom_pairs = lambda bound: (pairs.append(pair) or pair for pair in atom_pairs(bound))
+    P._length_set = lambda v, memo: walked.append((pairs[-1], length_set(v, memo))) or walked[-1][1]
+    assert (rho2 := P.rho2(10)) == naive_rho2(P.atoms, 10)
+    best = 0
+    for (a, b), lengths in walked:
+        assert (sum(a) + sum(b)) // 2 != best + 1 or reaches(a, b), (a, b, best)
+        best = max(best, lengths.bit_length() - 1)
+    assert walked and best == rho2
+
+
 def test_the_cap_sift_needs_a_grading_and_atoms_of_norm_two():
     G = make_group([3])
     plain = full_block_monoid([3])

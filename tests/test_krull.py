@@ -74,6 +74,17 @@ def test_make_krull_validation():
         make_krull(G, ["p", "q"], {"p": (1,)})
     with pytest.raises(InvalidSpecificationError):
         make_krull(G, [], {})
+    # arguments of the wrong kind end in one error line
+    C3 = make_group([3])
+    for args, message in [
+        (([2], ["p"], {"p": (0,)}), "a Krull monoid needs a FinAbGroup, got [2]"),
+        ((C3, 5, {}), "primes must be iterable, got 5"),
+        ((C3, ["p"], 5), "a class map must map prime names to classes, got 5"),
+        ((C3, ["p"], {"p": 1}), "the class of 'p' must be iterable, got 1"),
+    ]:
+        with pytest.raises(InvalidSpecificationError) as caught:
+            make_krull(*args)
+        assert str(caught.value) == message
 
 
 def test_thousands_of_atoms_validate_fast_and_a_divided_atom_is_still_rejected():
@@ -620,6 +631,31 @@ def test_verify_transfer_reads_one_row_per_orbit():
     report = H.verify_transfer(5)
     assert len(rows) == 19
     assert report == transfer_report_by_lifting(H, 5) and report.elements_checked == 1287
+
+
+def test_one_prime_per_class_is_read_in_one_walk_over_the_orbits():
+    # six primes of classes 1 to 6 over C7: every orbit holds one member
+    primes = [f"p{i}" for i in range(1, 7)]
+    H = make_krull(make_group([7]), primes, {p: (i,) for i, p in enumerate(primes, 1)})
+    walks, members = [], H._members
+    H._members = lambda bound, classes=None: walks.append((bound, classes)) or members(bound, classes)
+    assert H.verify_transfer(8) == TransferReport(True, 429, 2886, None, 429)
+    assert walks == [(8, H._slot)]
+
+
+def test_a_missing_preimage_is_named_from_one_walk_over_the_orbits():
+    # p, q of class 1 and r of class 2 over C3, with no member of image 1·2 in the table: the orbits
+    # meet every image, so the surjectivity failure they find is the full walk's
+    H = make_krull(make_group([3]), ["p", "q", "r"], {"p": (1,), "q": (1,), "r": (2,)})
+    walks = []
+
+    def members(bound, classes=None):
+        walks.append(classes)
+        return (row for row in KrullMonoid._members(H, bound, classes) if H._image(row[0]) != (1, 1))
+
+    H._members = members
+    assert H.verify_transfer(6) == TransferReport(False, 28, 96, "no preimage found for 1·2", 2)
+    assert walks == [H._slot]
 
 
 @pytest.mark.parametrize("fault, failure", [(one_more, "has wrong images"), (one_short, "does not multiply back")])
